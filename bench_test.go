@@ -17,6 +17,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/kern"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/overload"
 	"repro/internal/stats"
 	"repro/internal/threadmodel"
@@ -160,10 +161,10 @@ func BenchmarkFigure2_FastRPCPath(b *testing.B) {
 	}
 	b.ReportMetric(us, "sim-us/rpc")
 	tr := experiments.Figure2Trace()
-	if !tr.Has(stats.TraceStackHandoff) || !tr.Has(stats.TraceRecognition) {
+	if !tr.Has(obs.StackHandoff) || !tr.Has(obs.Recognition) {
 		b.Fatal("fast path signature missing from trace")
 	}
-	if tr.Has(stats.TraceQueueMessage) || tr.Has(stats.TraceContextSwitch) {
+	if tr.Has(obs.QueueMessage) || tr.Has(obs.ContextSwitch) {
 		b.Fatal("fast path queued or context switched")
 	}
 }
@@ -300,6 +301,27 @@ func BenchmarkDispatchSteadyState(b *testing.B) {
 	// state: every structure the ping-pong touches has been through at
 	// least one full cycle.
 	for i := 0; i < 2000; i++ {
+		if !sys.K.Step() {
+			b.Fatal("null-RPC pair quiesced during warmup")
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys.K.Step()
+	}
+}
+
+// BenchmarkDispatchSteadyStateTraced is BenchmarkDispatchSteadyState
+// with an event recorder installed, warmed until the ring has wrapped
+// (Dropped > 0): every emit then writes a compact slot in place and
+// every string it names is already interned, so the traced steady state
+// must report 0 allocs/op too.
+func BenchmarkDispatchSteadyStateTraced(b *testing.B) {
+	sys := kern.New(kern.Config{Flavor: kern.MK40, Arch: machine.ArchDS3100, DisableCallout: true})
+	experiments.SetupNullRPC(sys, 1<<30)
+	rec := sys.EnableObservation(4096)
+	for rec.Dropped == 0 {
 		if !sys.K.Step() {
 			b.Fatal("null-RPC pair quiesced during warmup")
 		}

@@ -3,10 +3,9 @@
 // device_read the device subsystem adds.
 //
 // The rendering comes from the obs event ring: the experiment enables a
-// recorder around exactly one operation and obs.ToTrace converts the
-// captured events back to the classic step-table format, so the output
-// here stays stable while richer tooling (machsim -trace/-profile,
-// traceview) reads the same events.
+// recorder around exactly one operation and prints the control-transfer
+// steps it captured (obs.Steps), the same events richer tooling
+// (machsim -trace/-profile, traceview) reads.
 //
 // Usage:
 //
@@ -16,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/experiments"
@@ -25,34 +25,42 @@ var path = flag.String("path", "rpc", "rpc or device")
 
 func main() {
 	flag.Parse()
-	switch *path {
-	case "rpc":
-		fmt.Println("Figure 2: the calling half of the fast RPC path (one traced RPC)")
-		fmt.Println()
-		fmt.Println("  client calls mach_msg: enter kernel, copy in the request, find")
-		fmt.Println("  the server blocked in mach_msg_continue, hand the stack over,")
-		fmt.Println("  recognize the continuation, copy out, exit as the server — then")
-		fmt.Println("  the same again in the reply direction.")
-		fmt.Println()
-		fmt.Print(experiments.Figure2Trace())
-		fmt.Println()
-		fmt.Println("no queue-message, dequeue-message or context-switch steps appear:")
-		fmt.Println("the transfer runs entirely in the shared call context (§2.4).")
-	case "device":
-		fmt.Println("One interrupt-driven device_read (MK40, traced end to end)")
-		fmt.Println()
-		fmt.Println("  the reader blocks with device_read_continue and its stack is")
-		fmt.Println("  discarded; the transfer interrupt runs on whatever stack the")
-		fmt.Println("  processor is using (here: parked, so no thread's); the io_done")
-		fmt.Println("  thread hands its own stack to the reader and recognition of the")
-		fmt.Println("  device continuation finishes the read inline.")
-		fmt.Println()
-		fmt.Print(experiments.DeviceReadTrace())
-		fmt.Println()
-		fmt.Println("no stack is allocated anywhere on this path: the interrupt borrows")
-		fmt.Println("the current stack and the completion arrives by stack handoff.")
-	default:
-		fmt.Fprintf(os.Stderr, "unknown path %q (want rpc or device)\n", *path)
+	if err := run(os.Stdout, *path); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+}
+
+// run writes the trace of the named path to w.
+func run(w io.Writer, path string) error {
+	switch path {
+	case "rpc":
+		fmt.Fprintln(w, "Figure 2: the calling half of the fast RPC path (one traced RPC)")
+		fmt.Fprintln(w)
+		fmt.Fprintln(w, "  client calls mach_msg: enter kernel, copy in the request, find")
+		fmt.Fprintln(w, "  the server blocked in mach_msg_continue, hand the stack over,")
+		fmt.Fprintln(w, "  recognize the continuation, copy out, exit as the server — then")
+		fmt.Fprintln(w, "  the same again in the reply direction.")
+		fmt.Fprintln(w)
+		fmt.Fprint(w, experiments.Figure2Trace())
+		fmt.Fprintln(w)
+		fmt.Fprintln(w, "no queue-message, dequeue-message or context-switch steps appear:")
+		fmt.Fprintln(w, "the transfer runs entirely in the shared call context (§2.4).")
+	case "device":
+		fmt.Fprintln(w, "One interrupt-driven device_read (MK40, traced end to end)")
+		fmt.Fprintln(w)
+		fmt.Fprintln(w, "  the reader blocks with device_read_continue and its stack is")
+		fmt.Fprintln(w, "  discarded; the transfer interrupt runs on whatever stack the")
+		fmt.Fprintln(w, "  processor is using (here: parked, so no thread's); the io_done")
+		fmt.Fprintln(w, "  thread hands its own stack to the reader and recognition of the")
+		fmt.Fprintln(w, "  device continuation finishes the read inline.")
+		fmt.Fprintln(w)
+		fmt.Fprint(w, experiments.DeviceReadTrace())
+		fmt.Fprintln(w)
+		fmt.Fprintln(w, "no stack is allocated anywhere on this path: the interrupt borrows")
+		fmt.Fprintln(w, "the current stack and the completion arrives by stack handoff.")
+	default:
+		return fmt.Errorf("unknown path %q (want rpc or device)", path)
+	}
+	return nil
 }

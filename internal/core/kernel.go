@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -71,10 +70,9 @@ func (e *Env) Cur() *Thread { return e.P.Cur }
 func (e *Env) Charge(c machine.Cost) { e.K.Acct.Charge(c) }
 
 // Trace emits an observability event naming the current thread. A nil
-// recorder (the default) makes this a nil check and nothing more; call
-// sites that would pay formatting costs for the detail string guard on
-// e.K.Obs themselves.
-func (e *Env) Trace(kind obs.Kind, detail string) {
+// recorder (the default) makes this a nil check and nothing more; the
+// detail is passed in parts and only formatted if the event is read back.
+func (e *Env) Trace(kind obs.Kind, d obs.Detail) {
 	r := e.K.Obs
 	if r == nil {
 		return
@@ -85,7 +83,7 @@ func (e *Env) Trace(kind obs.Kind, detail string) {
 		name = e.P.Cur.Name
 		tid = e.P.Cur.ID
 	}
-	r.Emit(kind, tid, name, "", detail)
+	r.EmitDetail(kind, tid, name, "", d, 0)
 }
 
 // resumeStep is the payload stored in a preserved stack frame: the
@@ -422,7 +420,7 @@ func (k *Kernel) StackHandoff(e *Env, newt *Thread) {
 		if newt.Cont != nil {
 			cn = newt.Cont.Name()
 		}
-		r.EmitArg(obs.StackHandoff, newt.ID, newt.Name, cn, "from "+old.Name, old.ID)
+		r.EmitDetail(obs.StackHandoff, newt.ID, newt.Name, cn, obs.From(old.ID, old.Name), old.ID)
 	}
 }
 
@@ -467,9 +465,7 @@ func (k *Kernel) SwitchContext(e *Env, cont *Continuation, resume func(*Env), fr
 	}
 	e.Charge(cost)
 	k.Stats.ContextSwitches++
-	if k.Obs != nil {
-		e.Trace(obs.ContextSwitch, "to "+newt.Name)
-	}
+	e.Trace(obs.ContextSwitch, obs.To(newt.ID, newt.Name))
 	if cont != nil {
 		old.Cont = cont
 		old.disposalPending = true
@@ -504,10 +500,7 @@ func (k *Kernel) ThreadSyscallReturn(e *Env, retval uint64) {
 	}
 	t.MD.RetVal = retval
 	e.Charge(k.Costs.SyscallExit)
-	if k.Obs != nil {
-		// strconv, not Sprintf: this runs once per syscall when traced.
-		e.Trace(obs.KernelExit, "syscall return "+strconv.FormatUint(retval, 10))
-	}
+	e.Trace(obs.KernelExit, obs.SyscallReturn(retval))
 	k.enterUser(e)
 }
 
@@ -533,7 +526,7 @@ func (k *Kernel) ThreadSyscallReturnOverride(e *Env, retval uint64, discount mac
 	cost.Loads = sub(cost.Loads, discount.Loads)
 	cost.Stores = sub(cost.Stores, discount.Stores)
 	e.Charge(cost)
-	e.Trace(obs.KernelExit, "override return")
+	e.Trace(obs.KernelExit, obs.Text("override return"))
 	k.enterUser(e)
 }
 
@@ -546,7 +539,7 @@ func (k *Kernel) ThreadExceptionReturn(e *Env) {
 		panic(fmt.Sprintf("core: ThreadExceptionReturn outside an exception (%v)", t))
 	}
 	e.Charge(k.Costs.ExceptionExit)
-	e.Trace(obs.KernelExit, "exception return")
+	e.Trace(obs.KernelExit, obs.Text("exception return"))
 	k.enterUser(e)
 }
 
@@ -632,9 +625,7 @@ func (k *Kernel) Block(e *Env, reason stats.BlockReason, cont *Continuation, res
 			if old.State == StateRunnable {
 				k.queueRunnable(old)
 			}
-			if k.Obs != nil {
-				e.Trace(obs.Block, old.Name+" blocked with "+cont.Name())
-			}
+			e.Trace(obs.Block, obs.BlockedWith(old.ID, old.Name, cont.Name()))
 			k.CallContinuation(e, newt.Cont)
 		}
 		// Old thread keeps its stack; the new thread needs one.
@@ -672,9 +663,7 @@ func (k *Kernel) blockAndPark(e *Env, reason stats.BlockReason, cont *Continuati
 		// the run loop picks the thread right back up.
 		k.queueRunnable(old)
 	}
-	if k.Obs != nil {
-		e.Trace(obs.Block, fmt.Sprintf("%s blocked; processor %d parks", old.Name, e.P.ID))
-	}
+	e.Trace(obs.Block, obs.Parks(old.ID, old.Name, e.P.ID))
 	e.P.Cur = nil
 	e.P.Prev = old
 	e.P.pending = nil
@@ -725,9 +714,7 @@ func (k *Kernel) ThreadHandoff(e *Env, reason stats.BlockReason, cont *Continuat
 	if old.State == StateRunnable {
 		k.queueRunnable(old)
 	}
-	if k.Obs != nil {
-		e.Trace(obs.Block, old.Name+" blocked with "+cont.Name())
-	}
+	e.Trace(obs.Block, obs.BlockedWith(old.ID, old.Name, cont.Name()))
 }
 
 // Recognize performs continuation recognition: if the current thread
@@ -895,7 +882,7 @@ func (k *Kernel) KernelEntry(e *Env, kind UserReturnKind, label string) {
 	} else {
 		e.Charge(k.Costs.ExceptionEntry)
 	}
-	e.Trace(obs.KernelEntry, label)
+	e.Trace(obs.KernelEntry, obs.Text(label))
 }
 
 // TickInterval is the clock-interrupt period: the granularity at which
@@ -1231,7 +1218,7 @@ func (k *Kernel) TakeInterrupt(label string, handler func(*Env)) {
 	before := k.Stacks.InUse()
 	k.Stats.Interrupts++
 	e.Charge(k.Costs.InterruptEntry)
-	e.Trace(obs.Interrupt, label)
+	e.Trace(obs.Interrupt, obs.Text(label))
 	handler(e)
 	if k.Stacks.InUse() != before {
 		panic(fmt.Sprintf("core: interrupt handler %q changed the stack census (%d -> %d)",

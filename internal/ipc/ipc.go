@@ -24,7 +24,6 @@ package ipc
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -623,9 +622,7 @@ func (x *IPC) send(e *core.Env, opts MsgOptions, src source) {
 		msg.Trace = t.Trace
 	}
 	e.Charge(transferCost(msg)) // copyin or out-of-line map
-	if k.Obs != nil {
-		e.Trace(obs.CopyIn, strconv.Itoa(msg.Size)+" bytes")
-	}
+	e.Trace(obs.CopyIn, obs.Bytes(msg.Size))
 	e.Charge(portLookupCost)
 	e.Charge(rightsCost)
 	if dest.dead {
@@ -643,7 +640,7 @@ func (x *IPC) send(e *core.Env, opts MsgOptions, src source) {
 	}
 
 	e.Charge(findRecvCost)
-	e.Trace(obs.FindReceiver, dest.Name)
+	e.Trace(obs.FindReceiver, obs.Text(dest.Name))
 	recv := x.popWaiter(dest)
 	if recv == nil {
 		// A thread blocked on the port's set can take the message too.
@@ -867,7 +864,7 @@ func (x *IPC) enqueue(e *core.Env, p *Port, msg *Message) {
 	p.queue = append(p.queue, msg)
 	p.Enqueued++
 	x.QueuedSends++
-	e.Trace(obs.QueueMessage, p.Name)
+	e.Trace(obs.QueueMessage, obs.Text(p.Name))
 }
 
 // finishSendPhase either falls into the receive phase (returning to the
@@ -1058,7 +1055,7 @@ func (x *IPC) copyOutAndReturn(e *core.Env, m *Message) {
 	t := e.Cur()
 	e.Charge(transferCost(m))
 	if r := x.K.Obs; r != nil {
-		e.Trace(obs.CopyOut, strconv.Itoa(m.Size)+" bytes")
+		e.Trace(obs.CopyOut, obs.Bytes(m.Size))
 		r.Emit(obs.RPCEnd, t.ID, t.Name, "", "")
 	}
 	x.received[t.ID] = m

@@ -140,7 +140,7 @@ func (p *Port) pull(x *IPC, e *core.Env) *Message {
 	p.Dequeued++
 	e.Charge(dequeueCost)
 	e.Charge(reparseCost)
-	e.Trace(obs.DequeueMessage, p.Name)
+	e.Trace(obs.DequeueMessage, obs.Text(p.Name))
 	// Room opened up: release a sender blocked on the full queue.
 	x.wakeSender(p)
 	return m

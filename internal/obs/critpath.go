@@ -16,8 +16,10 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/machine"
@@ -61,19 +63,32 @@ func AnalyzeCritPath(spans []Span) *CritPath {
 	for i := range cp.PerSeg {
 		cp.PerSeg[i] = &Histogram{Name: Seg(i).String()}
 	}
-	byTrace := make(map[uint64][]Span)
-	for _, sp := range spans {
-		byTrace[sp.Trace] = append(byTrace[sp.Trace], sp)
+	// Group by trace with one sort: order the span indices by (trace,
+	// input index) and gather, so each trace's spans form one contiguous
+	// run in input order and traces come out ascending.
+	idx := make([]int, len(spans))
+	for i := range idx {
+		idx[i] = i
 	}
-	traces := make([]uint64, 0, len(byTrace))
-	for tr := range byTrace {
-		traces = append(traces, tr)
+	slices.SortFunc(idx, func(a, b int) int {
+		if c := cmp.Compare(spans[a].Trace, spans[b].Trace); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	grouped := make([]Span, len(spans))
+	for k, i := range idx {
+		grouped[k] = spans[i]
 	}
-	sort.Slice(traces, func(i, j int) bool { return traces[i] < traces[j] })
-	for _, tr := range traces {
-		if op, ok := decompose(byTrace[tr]); ok {
+	for lo := 0; lo < len(grouped); {
+		hi := lo + 1
+		for hi < len(grouped) && grouped[hi].Trace == grouped[lo].Trace {
+			hi++
+		}
+		if op, ok := decompose(grouped[lo:hi]); ok {
 			cp.Ops = append(cp.Ops, op)
 		}
+		lo = hi
 	}
 	sort.Slice(cp.Ops, func(i, j int) bool {
 		a, b := cp.Ops[i], cp.Ops[j]

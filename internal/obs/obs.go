@@ -1,7 +1,7 @@
-// Package obs is the kernel's observability layer: a fixed-capacity
-// event ring buffer, online latency histograms, and a per-continuation
-// profiler, all driven by one emit API wired through the control-transfer
-// engine and its substrates (core, sched, ipc, dev, fault, kern).
+// Package obs is the kernel's observability layer: a drop-oldest event
+// ring, online latency histograms, and a per-continuation profiler, all
+// driven by one emit API wired through the control-transfer engine and
+// its substrates (core, sched, ipc, dev, fault, kern).
 //
 // The design mirrors the paper's evaluation method: the argument for
 // continuations rests on *measured* control-transfer behavior (Tables
@@ -12,6 +12,17 @@
 // timestamps come from the simulated clock — so two identical runs export
 // byte-identical traces (the CI diff relies on this).
 //
+// The ring stores compact records, not Events: a 40-byte pointer-free
+// slot holding the clock, ids and one number, with thread, continuation
+// and detail strings interned in per-recorder tables — continuations are
+// named values, which is what makes the paper's recognition cheap and
+// makes them cheap to intern here. Emit sites pass a detail's parts
+// (obs.From, obs.Bytes, ...) rather than a formatted string; Events
+// renders the text on read-back, identical to what the sites used to
+// format eagerly. Retention is allocated in fixed-size chunks as events
+// arrive, up to the ring's capacity, and emitting into a wrapped ring
+// allocates nothing.
+//
 // A kernel with a nil Recorder pays only a nil check per would-be event;
 // histograms and the profiler are updated online at emit time, so they
 // cover the whole run even after the ring has started evicting old
@@ -19,22 +30,23 @@
 package obs
 
 import (
+	"fmt"
 	"math/bits"
 	"sort"
+	"strings"
 
 	"repro/internal/machine"
 	"repro/internal/stats"
 )
 
-// Kind labels one recorded kernel event. The first group mirrors the
-// legacy stats.TraceKind steps (emitted at the same call sites with the
-// same detail strings, so Figure 2-style renderings are unchanged); the
-// second group is new lifecycle instrumentation that drives the latency
-// histograms and the continuation profiler.
+// Kind labels one recorded kernel event. The first group are the
+// control-transfer steps of the paper's Figure 2 (see Steps); the second
+// group is lifecycle instrumentation that drives the latency histograms
+// and the continuation profiler.
 type Kind int
 
 const (
-	// Legacy control-transfer steps (Figure 2 rendering).
+	// Control-transfer steps (Figure 2 rendering).
 	KernelEntry Kind = iota
 	KernelExit
 	CopyIn
@@ -201,41 +213,50 @@ var kindByName = func() map[string]Kind {
 	return m
 }()
 
-// legacyKind maps the event kinds the pre-obs kernel actually emitted to
-// their stats.TraceKind equivalents. Lifecycle kinds (and Wakeup, which
-// existed as a TraceKind but was never emitted) are deliberately absent
-// so renderings built on ToTrace keep their historical shape.
-var legacyKind = map[Kind]stats.TraceKind{
-	KernelEntry:      stats.TraceKernelEntry,
-	KernelExit:       stats.TraceKernelExit,
-	CopyIn:           stats.TraceCopyIn,
-	CopyOut:          stats.TraceCopyOut,
-	FindReceiver:     stats.TraceFindReceiver,
-	StackHandoff:     stats.TraceStackHandoff,
-	Recognition:      stats.TraceRecognition,
-	ContinuationCall: stats.TraceContinuationCall,
-	ContextSwitch:    stats.TraceContextSwitch,
-	Block:            stats.TraceBlock,
-	QueueMessage:     stats.TraceQueueMessage,
-	DequeueMessage:   stats.TraceDequeueMessage,
-	Note:             stats.TraceNote,
-	Interrupt:        stats.TraceInterrupt,
+// Step reports whether k is one of the control-transfer steps a Figure
+// 2-style step table shows. Wakeup sits in that group but is left out:
+// it marks a thread becoming runnable, not a step of the transfer path
+// the table follows.
+func (k Kind) Step() bool { return k < ThreadBlocked && k != Wakeup }
+
+// Steps is a control-transfer step table: the Step events of a
+// recording, in emit order. cmd/tracer prints the Figure 2 and device
+// read paths this way.
+type Steps []Event
+
+// StepsOf keeps the Step events of events.
+func StepsOf(events []Event) Steps {
+	var out Steps
+	for _, ev := range events {
+		if ev.Kind.Step() {
+			out = append(out, ev)
+		}
+	}
+	return out
 }
 
-// ToTrace renders events as a legacy stats.Trace, keeping only the
-// control-transfer steps the pre-obs kernel traced (with identical
-// thread names and detail strings). cmd/tracer's Figure 2 and device
-// read renderings are built on this, so their golden output is stable.
-func ToTrace(events []Event) *stats.Trace {
-	tr := &stats.Trace{Enabled: true}
-	for _, ev := range events {
-		k, ok := legacyKind[ev.Kind]
-		if !ok {
-			continue
+// Has reports whether any step has the given kind.
+func (s Steps) Has(k Kind) bool {
+	for _, ev := range s {
+		if ev.Kind == k {
+			return true
 		}
-		tr.Add(k, ev.Thread, ev.Detail)
 	}
-	return tr
+	return false
+}
+
+// String renders one numbered line per step: "[thread] kind: detail".
+func (s Steps) String() string {
+	var b strings.Builder
+	for i, ev := range s {
+		fmt.Fprintf(&b, "%2d. [%s] %s", i+1, ev.Thread, ev.Kind)
+		if ev.Detail != "" {
+			b.WriteString(": ")
+			b.WriteString(ev.Detail)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
 }
 
 // Event is one recorded kernel event.
@@ -326,14 +347,23 @@ const DefaultCapacity = 1 << 16
 // Recorder is one kernel's event sink: a drop-oldest ring of events plus
 // online histograms and the continuation profiler. The zero recorder is
 // not usable; a nil *Recorder is the disabled state and every kernel
-// emit site nil-checks before paying any formatting cost.
+// emit site nil-checks before doing any work.
 type Recorder struct {
 	clock *machine.Clock
-	seq   uint64
 
+	// The ring (ring.go): capacity slots in chunks allocated as events
+	// arrive, n of them retained, the oldest at head once full.
 	capacity int
-	ring     []Event
-	head     int // index of the oldest event once the ring is full
+	chunks   [][]slot
+	n        int
+	head     int
+
+	// The string table the slots index: strs[id], id 0 the empty string.
+	// strIDs dedupes continuation and detail text; thread names are
+	// keyed by thread id instead, tidName[tid] naming the id last seen.
+	strs    []string
+	strIDs  map[string]uint32
+	tidName []uint32
 
 	// Dropped counts events evicted from the ring (histograms and the
 	// profiler still saw them).
@@ -345,7 +375,9 @@ type Recorder struct {
 	// Hist holds the four online latency histograms.
 	Hist [NumLatencies]*Histogram
 
-	conts map[string]*ContProfile
+	// profs holds the continuation profiles, indexed by the string id of
+	// the continuation name.
+	profs []*ContProfile
 
 	// svc holds the named service-level histograms (per-tier request
 	// latencies maintained by workload code via Service, not by kernel
@@ -433,10 +465,8 @@ func NewReplay() *Recorder { return newRecorder(0) }
 func newRecorder(capacity int) *Recorder {
 	r := &Recorder{
 		capacity: capacity,
-		// Full-capacity ring up front: growing it with append would make
-		// early emits allocate on the dispatch path.
-		ring:  make([]Event, 0, capacity),
-		conts: make(map[string]*ContProfile),
+		strs:     []string{""},
+		strIDs:   make(map[string]uint32),
 	}
 	for i := range r.Hist {
 		r.Hist[i] = &Histogram{Name: Latency(i).String()}
@@ -446,106 +476,97 @@ func newRecorder(capacity int) *Recorder {
 
 // Emit records one event stamped with the current clock.
 func (r *Recorder) Emit(kind Kind, tid int, thread, cont, detail string) {
-	r.EmitArg(kind, tid, thread, cont, detail, 0)
+	r.EmitDetail(kind, tid, thread, cont, Text(detail), 0)
 }
 
 // EmitArg is Emit with the kind-specific Arg field.
 func (r *Recorder) EmitArg(kind Kind, tid int, thread, cont, detail string, arg int) {
-	ev := Event{
-		Seq:    r.seq,
-		Kind:   kind,
-		TID:    tid,
-		Arg:    arg,
-		Thread: thread,
-		Cont:   cont,
-		Detail: detail,
-	}
+	r.EmitDetail(kind, tid, thread, cont, Text(detail), arg)
+}
+
+// EmitDetail is EmitArg with the detail passed in parts, rendered to
+// text only when the event is read back. tid and arg must fit in 32 bits
+// (thread ids, flags, incarnations and epochs all do).
+func (r *Recorder) EmitDetail(kind Kind, tid int, thread, cont string, d Detail, arg int) {
+	var when machine.Time
 	if r.clock != nil {
-		ev.When = r.clock.Now()
+		when = r.clock.Now()
 	}
-	r.seq++
-	r.store(ev)
-	r.process(ev)
+	c := r.intern(cont)
+	if r.capacity > 0 {
+		r.pack(r.next(), when, kind, tid, thread, c, &d, arg)
+	}
+	r.process(kind, tid, arg, when, c)
 }
 
 // Ingest feeds an already-stamped event through the statistics pipeline
 // without storing it (replay mode).
-func (r *Recorder) Ingest(ev Event) { r.process(ev) }
-
-func (r *Recorder) store(ev Event) {
-	if r.capacity == 0 {
-		return
-	}
-	if len(r.ring) < r.capacity {
-		r.ring = append(r.ring, ev)
-		return
-	}
-	r.ring[r.head] = ev
-	r.head = (r.head + 1) % r.capacity
-	r.Dropped++
+func (r *Recorder) Ingest(ev Event) {
+	r.process(ev.Kind, ev.TID, ev.Arg, ev.When, r.intern(ev.Cont))
 }
 
-// process updates the online statistics. Every rule here is also applied
+// process updates the online statistics for one event whose
+// continuation name has string id cont. Every rule here is also applied
 // by replay, so traceview recomputes the same tables from an export.
-func (r *Recorder) process(ev Event) {
-	r.KindCounts[ev.Kind]++
-	switch ev.Kind {
+func (r *Recorder) process(kind Kind, tid, arg int, when machine.Time, cont uint32) {
+	r.KindCounts[kind]++
+	switch kind {
 	case ThreadBlocked:
-		if ev.Cont != "" {
-			r.prof(ev.Cont).Blocks++
+		if cont != 0 {
+			r.prof(cont).Blocks++
 		}
-		if ev.Arg == 1 {
+		if arg == 1 {
 			// Yield: the thread never left the runnable state.
-			r.runnableAt.set(ev.TID, ev.When)
-			r.blockedAt.del(ev.TID)
+			r.runnableAt.set(tid, when)
+			r.blockedAt.del(tid)
 		} else {
-			r.blockedAt.set(ev.TID, ev.When)
-			r.runnableAt.del(ev.TID)
+			r.blockedAt.set(tid, when)
+			r.runnableAt.del(tid)
 		}
 	case Wakeup:
-		if t0, ok := r.blockedAt.get(ev.TID); ok {
-			r.Hist[LatBlockToWakeup].Observe(uint64(ev.When - t0))
-			r.blockedAt.del(ev.TID)
+		if t0, ok := r.blockedAt.get(tid); ok {
+			r.Hist[LatBlockToWakeup].Observe(uint64(when - t0))
+			r.blockedAt.del(tid)
 		}
-		r.runnableAt.set(ev.TID, ev.When)
+		r.runnableAt.set(tid, when)
 	case Dispatch:
-		r.noteRunning(ev.TID, ev.When)
+		r.noteRunning(tid, when)
 	case StackHandoff:
-		if ev.Cont != "" {
-			r.prof(ev.Cont).Handoffs++
+		if cont != 0 {
+			r.prof(cont).Handoffs++
 		}
 		// The stack's tenure on the old thread ends; a new one starts.
-		if t0, ok := r.stackSince.get(ev.Arg); ok {
-			r.Hist[LatStackLifetime].Observe(uint64(ev.When - t0))
-			r.stackSince.del(ev.Arg)
+		if t0, ok := r.stackSince.get(arg); ok {
+			r.Hist[LatStackLifetime].Observe(uint64(when - t0))
+			r.stackSince.del(arg)
 		}
-		r.stackSince.set(ev.TID, ev.When)
-		r.noteRunning(ev.TID, ev.When)
+		r.stackSince.set(tid, when)
+		r.noteRunning(tid, when)
 	case StackAttach:
-		r.stackSince.set(ev.TID, ev.When)
+		r.stackSince.set(tid, when)
 	case StackDetach:
-		if t0, ok := r.stackSince.get(ev.TID); ok {
-			r.Hist[LatStackLifetime].Observe(uint64(ev.When - t0))
-			r.stackSince.del(ev.TID)
+		if t0, ok := r.stackSince.get(tid); ok {
+			r.Hist[LatStackLifetime].Observe(uint64(when - t0))
+			r.stackSince.del(tid)
 		}
 	case Recognition:
-		if ev.Cont != "" {
-			r.prof(ev.Cont).RecognitionHits++
+		if cont != 0 {
+			r.prof(cont).RecognitionHits++
 		}
 	case RecognitionMiss:
-		if ev.Cont != "" {
-			r.prof(ev.Cont).RecognitionMisses++
+		if cont != 0 {
+			r.prof(cont).RecognitionMisses++
 		}
 	case ContinuationCall:
-		if ev.Cont != "" {
-			r.prof(ev.Cont).Calls++
+		if cont != 0 {
+			r.prof(cont).Calls++
 		}
 	case RPCStart:
-		r.rpcStart.set(ev.TID, ev.When)
+		r.rpcStart.set(tid, when)
 	case RPCEnd:
-		if t0, ok := r.rpcStart.get(ev.TID); ok {
-			r.Hist[LatRPCRoundTrip].Observe(uint64(ev.When - t0))
-			r.rpcStart.del(ev.TID)
+		if t0, ok := r.rpcStart.get(tid); ok {
+			r.Hist[LatRPCRoundTrip].Observe(uint64(when - t0))
+			r.rpcStart.del(tid)
 		}
 	}
 }
@@ -566,35 +587,28 @@ func (r *Recorder) noteRunning(tid int, when machine.Time) {
 	}
 }
 
-func (r *Recorder) prof(name string) *ContProfile {
-	c, ok := r.conts[name]
-	if !ok {
-		c = &ContProfile{Name: name}
-		r.conts[name] = c
+// prof returns (creating on first use) the profile of the continuation
+// whose name has string id cont.
+func (r *Recorder) prof(cont uint32) *ContProfile {
+	for int(cont) >= len(r.profs) {
+		r.profs = append(r.profs, nil)
+	}
+	c := r.profs[cont]
+	if c == nil {
+		c = &ContProfile{Name: r.strs[cont]}
+		r.profs[cont] = c
 	}
 	return c
 }
 
-// Events returns the retained events in emit order.
-func (r *Recorder) Events() []Event {
-	if len(r.ring) < r.capacity || r.head == 0 {
-		return append([]Event(nil), r.ring...)
-	}
-	out := make([]Event, 0, len(r.ring))
-	out = append(out, r.ring[r.head:]...)
-	out = append(out, r.ring[:r.head]...)
-	return out
-}
-
-// Len returns the number of retained events.
-func (r *Recorder) Len() int { return len(r.ring) }
-
 // Profiles returns the continuation profiles sorted by name, so every
 // report built on them is deterministic.
 func (r *Recorder) Profiles() []*ContProfile {
-	out := make([]*ContProfile, 0, len(r.conts))
-	for _, c := range r.conts {
-		out = append(out, c)
+	var out []*ContProfile
+	for _, c := range r.profs {
+		if c != nil {
+			out = append(out, c)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -602,7 +616,12 @@ func (r *Recorder) Profiles() []*ContProfile {
 
 // Profile returns the profile for one continuation name, nil if never
 // seen.
-func (r *Recorder) Profile(name string) *ContProfile { return r.conts[name] }
+func (r *Recorder) Profile(name string) *ContProfile {
+	if id, ok := r.strIDs[name]; ok && int(id) < len(r.profs) {
+		return r.profs[id]
+	}
+	return nil
+}
 
 // Service returns (creating on first use) the named service-level
 // histogram. Distributed-service workloads observe per-tier request
@@ -635,18 +654,21 @@ func (r *Recorder) ServiceHistograms() []*Histogram {
 	return out
 }
 
-// Reset discards all retained events and recorded statistics, keeping
-// the recorder attached.
+// Reset discards all retained events, the string tables and the
+// recorded statistics, keeping the recorder attached (and the ring's
+// chunks allocated for reuse).
 func (r *Recorder) Reset() {
-	r.ring = r.ring[:0]
+	r.n = 0
 	r.head = 0
-	r.seq = 0
 	r.Dropped = 0
+	r.strs = []string{""}
+	r.strIDs = make(map[string]uint32)
+	r.tidName = nil
 	r.KindCounts = [NumKinds]uint64{}
 	for i := range r.Hist {
 		r.Hist[i] = &Histogram{Name: Latency(i).String()}
 	}
-	r.conts = make(map[string]*ContProfile)
+	r.profs = nil
 	r.svc = nil
 	r.blockedAt = nil
 	r.runnableAt = nil

@@ -51,12 +51,29 @@ func stackGrower(depth int, ch <-chan struct{}) {
 	_ = pad
 }
 
-// memUsed samples heap plus goroutine stack memory.
+// memUsed samples heap plus goroutine stack memory once it has settled.
+// The stacks of goroutines that just exited are released over the next
+// collections, not the first, so it collects until two samples agree
+// (bounded, in case the process never goes quiet).
 func memUsed() uint64 {
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.HeapInuse + ms.StackInuse
+	var prev uint64
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		cur := ms.HeapInuse + ms.StackInuse
+		if i > 0 && cur == prev {
+			break
+		}
+		prev = cur
+	}
+	return prev
+}
+
+// perItem is the signed growth from before to after, per item: memory
+// can shrink between the samples, and an unsigned difference would wrap.
+func perItem(before, after uint64, n int) float64 {
+	return float64(int64(after-before)) / float64(n)
 }
 
 // GoroutinePark parks n goroutines blocked on a channel, each having
@@ -80,8 +97,7 @@ func GoroutinePark(n, depth int) (bytesPer float64, release func()) {
 	}
 	// Give the parked goroutines a moment to settle at their block.
 	time.Sleep(10 * time.Millisecond)
-	after := memUsed()
-	per := float64(after-before) / float64(n)
+	per := perItem(before, memUsed(), n)
 	return per, func() {
 		close(ch)
 		wg.Wait()
@@ -97,8 +113,7 @@ func RecordPark(n int) (bytesPer float64, records []*Record) {
 	for i := 0; i < n; i++ {
 		records[i] = &Record{ID: i, State: 1, Cont: func(r *Record) { r.State = 2 }}
 	}
-	after := memUsed()
-	return float64(after-before) / float64(n), records
+	return perItem(before, memUsed(), n), records
 }
 
 // GoroutineSwitchNs measures one hop of a channel ping-pong between two
