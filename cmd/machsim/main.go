@@ -314,6 +314,41 @@ func validateWorkloadFlags(name string, machines, tenants, sessions int, set fun
 	return nil
 }
 
+// topologyKinds names, per workload, the topology-fault rule kinds it
+// enforces: kv and the mtload storm bind their machines to the spec's
+// fault.Topology, the storm's sessions also scale their arrivals by a
+// burst, and kv's closed-loop callers have no offered load for a burst
+// to multiply. Every other workload would run as if the rule were absent.
+func topologyKinds(name string, storm bool) map[string]bool {
+	switch {
+	case name == "kv":
+		return map[string]bool{"partition": true, "link": true, "gray": true}
+	case name == "mtload" && storm:
+		return map[string]bool{"partition": true, "link": true, "gray": true, "burst": true}
+	}
+	return nil
+}
+
+// validateTopologyFaults rejects topology rules (partition, link, gray,
+// burst) the chosen workload would silently ignore.
+func validateTopologyFaults(name string, storm bool, spec fault.Spec) error {
+	enforced := topologyKinds(name, storm)
+	for _, r := range []struct {
+		kind string
+		n    int
+	}{
+		{"partition", len(spec.Partitions)},
+		{"link", len(spec.Links)},
+		{"gray", len(spec.Grays)},
+		{"burst", len(spec.Bursts)},
+	} {
+		if r.n > 0 && !enforced[r.kind] {
+			return fmt.Errorf("-faults: %s rules have no effect on -workload %s (partition/link/gray apply to kv and the mtload storm, burst only to the storm)", r.kind, name)
+		}
+	}
+	return nil
+}
+
 func main() {
 	flag.Parse()
 
@@ -352,6 +387,10 @@ func main() {
 		var err error
 		faultSeed, faultSpec, err = fault.ParseFlag(*faultsFlag)
 		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		if err := validateTopologyFaults(*workloadName, flagWasSet("overload"), faultSpec); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}

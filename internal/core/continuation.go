@@ -20,6 +20,18 @@
 // is what makes continuation recognition (§2.3) possible: a resumer can
 // compare a blocked thread's continuation against a known value and run a
 // faster inline sequence instead of calling it.
+//
+// Control transfer is trampolined. Each processor runs one pending action
+// at a time; a terminal operation (CallContinuation, SwitchContext, Block,
+// BlockDirected, Halt, ThreadSyscallReturn, ThreadExceptionReturn, and
+// every substrate function documented "Terminal.") sets the processor's
+// next action and returns, and its caller returns straight after it, so
+// the Go call chain unwinds by ordinary returns back to the trampoline —
+// the paper's "never returns" (/*NOTREACHED*/) without unwinding the host
+// stack. The discipline is checked statically by the module's
+// notreached_test.go and at run time by a per-processor latch: a second
+// transfer in one dispatcher step, or an action that returns without
+// transferring, panics.
 package core
 
 import "fmt"
@@ -30,9 +42,11 @@ import "fmt"
 // close over per-thread state — any state a thread needs across the block
 // must travel through its 28-byte scratch area, exactly as in the paper.
 //
-// A continuation never returns to its caller; it must finish by invoking
-// a terminal control-transfer operation (ThreadSyscallReturn,
-// ThreadExceptionReturn, ThreadBlock, CallContinuation, Halt).
+// A continuation's body runs as a dispatcher action and must end in
+// exactly one terminal control-transfer operation (ThreadSyscallReturn,
+// ThreadExceptionReturn, Block, CallContinuation, Halt, or a substrate
+// path ending in one), after which it returns to the trampoline; a body
+// that returns without transferring control panics.
 type Continuation struct {
 	name string
 	fn   func(*Env)

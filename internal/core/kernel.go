@@ -45,6 +45,11 @@ type Processor struct {
 	// pending is the next dispatcher action (the trampoline slot).
 	pending func(*Env)
 
+	// transferred is the /*NOTREACHED*/ latch: set by the one control
+	// transfer a dispatcher action may make, checked and cleared by invoke
+	// when the action returns. It is clear between dispatcher steps.
+	transferred bool
+
 	// dispose is a thread whose post-switch cleanup (thread_dispatch) is
 	// owed before the next pending action runs. Keeping it here instead of
 	// wrapping pending in a closure keeps the dispatch path allocation-free.
@@ -90,10 +95,27 @@ func (e *Env) Trace(kind obs.Kind, d obs.Detail) {
 // suspended rest-of-function of a process-model block.
 type resumeStep func(*Env)
 
-// unwound is the sentinel used to enforce the paper's /*NOTREACHED*/
-// discipline: terminal control-transfer operations never return to their
-// caller; they unwind to the dispatch trampoline.
-type unwound struct{}
+// transfer hands the processor its next dispatcher action (nil parks it)
+// and latches that control has been transferred. Every terminal operation
+// ends here and then returns up the Go call chain to invoke — the
+// trampoline that runs pending — so each caller must return straight after
+// a terminal call (the paper's /*NOTREACHED*/). A second transfer in the
+// same action means a caller fell through one terminal operation into
+// another. Terminal.
+func (p *Processor) transfer(next func(*Env)) {
+	p.notReached()
+	p.transferred = true
+	p.pending = next
+}
+
+// notReached panics if this dispatcher step has already transferred
+// control. Terminal operations call it on entry too, so a fall-through is
+// reported as such before their own checks misread the new state.
+func (p *Processor) notReached() {
+	if p.transferred {
+		panic("core: control transferred twice in one dispatcher step (a caller fell through a terminal operation)")
+	}
+}
 
 // Config selects the kernel build being simulated.
 type Config struct {
@@ -426,9 +448,10 @@ func (k *Kernel) StackHandoff(e *Env, newt *Thread) {
 
 // CallContinuation calls the supplied continuation after resetting the
 // current kernel stack pointer to the stack base, preventing stack
-// overflow during a long sequence of continuation calls. It never
-// returns.
+// overflow during a long sequence of continuation calls: the continuation
+// runs as the next dispatcher action, on an empty Go stack. Terminal.
 func (k *Kernel) CallContinuation(e *Env, c *Continuation) {
+	e.P.notReached()
 	if c == nil {
 		panic("core: CallContinuation(nil)")
 	}
@@ -442,8 +465,7 @@ func (k *Kernel) CallContinuation(e *Env, c *Continuation) {
 	if r := k.Obs; r != nil {
 		r.Emit(obs.ContinuationCall, t.ID, t.Name, c.Name(), c.Name())
 	}
-	e.P.pending = c.fn
-	panic(unwound{})
+	e.P.transfer(c.fn)
 }
 
 // SwitchContext resumes newt on its preserved kernel stack, changing
@@ -452,9 +474,9 @@ func (k *Kernel) CallContinuation(e *Env, c *Continuation) {
 // call never logically returns (the new thread will dispose of the old
 // thread's stack). If cont is nil the current thread's register state and
 // call chain (resume, occupying frameBytes) are preserved on its stack
-// and the thread will continue at resume when rescheduled. In both cases
-// this function unwinds to the dispatcher.
+// and the thread will continue at resume when rescheduled. Terminal.
 func (k *Kernel) SwitchContext(e *Env, cont *Continuation, resume func(*Env), frameBytes int, label string, newt *Thread) {
+	e.P.notReached()
 	old := e.Cur()
 	if newt.Stack == nil {
 		panic(fmt.Sprintf("core: SwitchContext to stackless %v (attach a stack first)", newt))
@@ -487,13 +509,13 @@ func (k *Kernel) SwitchContext(e *Env, cont *Continuation, resume func(*Env), fr
 		})
 	}
 	k.resumeOn(e.P, newt, old)
-	panic(unwound{})
 }
 
 // ThreadSyscallReturn calls the current thread's user system-call
 // continuation: control transfers out of the kernel back to user space
-// with the given return value. Never returns.
+// with the given return value. Terminal.
 func (k *Kernel) ThreadSyscallReturn(e *Env, retval uint64) {
+	e.P.notReached()
 	t := e.Cur()
 	if t.UserReturn != ReturnSyscall {
 		panic(fmt.Sprintf("core: ThreadSyscallReturn outside a syscall (%v)", t))
@@ -508,8 +530,9 @@ func (k *Kernel) ThreadSyscallReturn(e *Env, retval uint64) {
 // overriding user-level continuation (the §4 LRPC-style extension):
 // control leaves the kernel at the override entry instead of the trapped
 // context, so the machine-dependent exit skips the register restore
-// given by discount. Never returns.
+// given by discount. Terminal.
 func (k *Kernel) ThreadSyscallReturnOverride(e *Env, retval uint64, discount machine.Cost) {
+	e.P.notReached()
 	t := e.Cur()
 	if t.UserReturn != ReturnSyscall {
 		panic(fmt.Sprintf("core: override return outside a syscall (%v)", t))
@@ -532,8 +555,9 @@ func (k *Kernel) ThreadSyscallReturnOverride(e *Env, retval uint64, discount mac
 
 // ThreadExceptionReturn calls the current thread's user exception
 // continuation: control transfers out of the kernel back to user space
-// after an exception, fault or interrupt. Never returns.
+// after an exception, fault or interrupt. Terminal.
 func (k *Kernel) ThreadExceptionReturn(e *Env) {
+	e.P.notReached()
 	t := e.Cur()
 	if t.UserReturn != ReturnException {
 		panic(fmt.Sprintf("core: ThreadExceptionReturn outside an exception (%v)", t))
@@ -549,8 +573,7 @@ func (k *Kernel) enterUser(e *Env) {
 	t := e.Cur()
 	t.Mode = ModeUser
 	t.UserReturn = ReturnNone
-	e.P.pending = k.userStepFn
-	panic(unwound{})
+	e.P.transfer(k.userStepFn)
 }
 
 // ---------------------------------------------------------------------
@@ -566,11 +589,12 @@ func (k *Kernel) CanHandoff() bool { return k.UseContinuations && !k.NoHandoff }
 // continuations and cont is non-nil, the thread blocks in the interrupt
 // style (stack discarded or handed off). Otherwise it blocks under the
 // process model, preserving its stack, and resumes at resume (which
-// occupies frameBytes of stack). Never returns.
+// occupies frameBytes of stack). Terminal.
 //
 // Callers set the thread's state before blocking: StateWaiting to sleep
 // on an event, StateRunnable to yield the processor but stay eligible.
 func (k *Kernel) Block(e *Env, reason stats.BlockReason, cont *Continuation, resume func(*Env), frameBytes int, label string) {
+	e.P.notReached()
 	old := e.Cur()
 	if !k.UseContinuations {
 		cont = nil
@@ -589,9 +613,10 @@ func (k *Kernel) Block(e *Env, reason stats.BlockReason, cont *Continuation, res
 		old.State = StateRunning
 		if cont != nil {
 			k.CallContinuation(e, cont)
+			return
 		}
-		e.P.pending = resume
-		panic(unwound{})
+		e.P.transfer(resume)
+		return
 	}
 
 	newt := k.Sched.SelectThread(e.P)
@@ -606,13 +631,15 @@ func (k *Kernel) Block(e *Env, reason stats.BlockReason, cont *Continuation, res
 		old.QuantumRemaining = k.Sched.Quantum()
 		if cont != nil {
 			k.CallContinuation(e, cont)
+			return
 		}
-		e.P.pending = resume
-		panic(unwound{})
+		e.P.transfer(resume)
+		return
 	}
 	if newt == nil {
 		// Processor goes idle: complete the block and park.
 		k.blockAndPark(e, reason, cont, resume, frameBytes, label)
+		return
 	}
 
 	if newt.Cont != nil {
@@ -627,6 +654,7 @@ func (k *Kernel) Block(e *Env, reason stats.BlockReason, cont *Continuation, res
 			}
 			e.Trace(obs.Block, obs.BlockedWith(old.ID, old.Name, cont.Name()))
 			k.CallContinuation(e, newt.Cont)
+			return
 		}
 		// Old thread keeps its stack; the new thread needs one.
 		st := k.Stacks.Allocate()
@@ -666,8 +694,7 @@ func (k *Kernel) blockAndPark(e *Env, reason stats.BlockReason, cont *Continuati
 	e.Trace(obs.Block, obs.Parks(old.ID, old.Name, e.P.ID))
 	e.P.Cur = nil
 	e.P.Prev = old
-	e.P.pending = nil
-	panic(unwound{})
+	e.P.transfer(nil)
 }
 
 // BlockDirected blocks the current thread under the process model and
@@ -675,9 +702,10 @@ func (k *Kernel) blockAndPark(e *Env, reason stats.BlockReason, cont *Continuati
 // RPC transfer of the MK32 kernel (§3.3: "it context-switches directly
 // from the sending thread to the receiving thread"). If newt is stackless
 // (possible when a continuation kernel takes this path), a stack is
-// attached first. Never returns. The caller must have set the current
+// attached first. Terminal. The caller must have set the current
 // thread's wait state.
 func (k *Kernel) BlockDirected(e *Env, reason stats.BlockReason, resume func(*Env), frameBytes int, label string, newt *Thread) {
+	e.P.notReached()
 	old := e.Cur()
 	if old.State == StateRunning {
 		panic(fmt.Sprintf("core: BlockDirected: caller must set wait state of %v first", old))
@@ -698,6 +726,7 @@ func (k *Kernel) BlockDirected(e *Env, reason stats.BlockReason, resume func(*En
 // continuation recognition before deciding how to finish the transfer
 // (§2.4). The caller must have set the old thread's wait state.
 func (k *Kernel) ThreadHandoff(e *Env, reason stats.BlockReason, cont *Continuation, newt *Thread) {
+	e.P.notReached()
 	old := e.Cur()
 	if !k.CanHandoff() || cont == nil {
 		panic("core: ThreadHandoff requires a continuation kernel with handoff enabled")
@@ -779,7 +808,7 @@ func (k *Kernel) ThreadDispatch(e *Env, old *Thread) {
 }
 
 // resumeOn installs newt as the processor's current thread and queues its
-// preserved resume step, prefixed by disposal of the old thread.
+// preserved resume step, prefixed by disposal of the old thread. Terminal.
 func (k *Kernel) resumeOn(p *Processor, newt, old *Thread) {
 	if r := k.Obs; r != nil {
 		r.Emit(obs.Dispatch, newt.ID, newt.Name, "", "")
@@ -789,8 +818,8 @@ func (k *Kernel) resumeOn(p *Processor, newt, old *Thread) {
 	newt.State = StateRunning
 	newt.QuantumRemaining = k.Sched.Quantum()
 	f := newt.Stack.PopFrame()
-	p.pending = f.Resume.(resumeStep)
 	p.dispose = old
+	p.transfer(f.Resume.(resumeStep))
 }
 
 // recordBlock tallies a block unless the thread opted out of statistics,
@@ -831,9 +860,10 @@ func (k *Kernel) recordBlock(t *Thread, reason stats.BlockReason, discarded bool
 	k.Stats.RecordBlock(reason, discarded)
 }
 
-// Halt terminates the current thread and gives up the processor. Never
-// returns.
+// Halt terminates the current thread and gives up the processor.
+// Terminal.
 func (k *Kernel) Halt(e *Env) {
+	e.P.notReached()
 	t := e.Cur()
 	t.State = StateHalted
 	t.Cont = nil
@@ -851,18 +881,18 @@ func (k *Kernel) Halt(e *Env) {
 		}
 		e.P.Cur = nil
 		e.P.Prev = t
-		e.P.pending = nil
-		panic(unwound{})
+		e.P.transfer(nil)
+		return
 	}
 	if newt.Cont != nil {
 		// Hand the dying thread's stack straight to the next one.
 		cont := newt.Cont
 		k.StackHandoff(e, newt)
 		k.CallContinuation(e, cont)
+		return
 	}
 	t.disposalPending = true
 	k.resumeOn(e.P, newt, t)
-	panic(unwound{})
 }
 
 // ---------------------------------------------------------------------
@@ -890,7 +920,9 @@ func (k *Kernel) KernelEntry(e *Env, kind UserReturnKind, label string) {
 const TickInterval = machine.Duration(16_670_000)
 
 // userStep executes one user-mode action of the current thread. It is the
-// default pending action whenever a thread is in user mode.
+// default pending action whenever a thread is in user mode. Every kernel
+// path it enters — syscall, fault and exception handlers included — must
+// end in a terminal operation; invoke panics if one returns without.
 func (k *Kernel) userStep(e *Env) {
 	t := e.Cur()
 	if t.Program == nil {
@@ -900,6 +932,7 @@ func (k *Kernel) userStep(e *Env) {
 		d := t.PendingBurst
 		t.PendingBurst = 0
 		k.runUserDur(e, t, d)
+		return
 	}
 	act := t.Program.Next(e, t)
 	switch act.Kind {
@@ -908,21 +941,18 @@ func (k *Kernel) userStep(e *Env) {
 	case ActSyscall:
 		k.KernelEntry(e, ReturnSyscall, act.Name)
 		act.Invoke(e)
-		panic(fmt.Sprintf("core: syscall %q handler returned instead of transferring control", act.Name))
 	case ActFault:
 		k.KernelEntry(e, ReturnException, fmt.Sprintf("page fault @%#x", act.Addr))
 		if k.HandleFault == nil {
 			panic("core: no fault handler installed")
 		}
 		k.HandleFault(e, act.Addr, act.Write)
-		panic("core: fault handler returned instead of transferring control")
 	case ActException:
 		k.KernelEntry(e, ReturnException, fmt.Sprintf("exception %d", act.Code))
 		if k.HandleException == nil {
 			panic("core: no exception handler installed")
 		}
 		k.HandleException(e, act.Code)
-		panic("core: exception handler returned instead of transferring control")
 	case ActYield:
 		// thread_switch: voluntary rescheduling from user level. There
 		// is no kernel state to save; block with the return-to-user
@@ -941,7 +971,7 @@ func (k *Kernel) userStep(e *Env) {
 
 // resumeExceptionReturn is the process-model counterpart of
 // ContThreadExceptionReturn. It captures nothing, so passing it to Block
-// does not allocate the way an inline closure over k would.
+// does not allocate the way an inline closure over k would. Terminal.
 func resumeExceptionReturn(e *Env) { e.K.ThreadExceptionReturn(e) }
 
 // ContThreadExceptionReturn resumes a thread straight out to user space;
@@ -956,7 +986,7 @@ func init() {
 }
 
 // runUser burns a user-mode CPU burst, splitting it at a preemption
-// point when one arrives first.
+// point when one arrives first. Terminal.
 func (k *Kernel) runUser(e *Env, t *Thread, cycles uint64) {
 	us := k.Acct.ScaleMicros(float64(cycles) / k.Model.MHz)
 	k.runUserDur(e, t, machine.Duration(us*1000+0.5))
@@ -978,6 +1008,7 @@ func (k *Kernel) runUserDur(e *Env, t *Thread, dur machine.Duration) {
 		k.burnUser(t, slice)
 		t.PendingBurst = dur - slice
 		k.preemptNow(e, t, "ast preempt")
+		return
 	}
 	if dur >= t.QuantumRemaining && k.Sched.HasWork() {
 		// Run out the quantum, then the clock interrupt preempts.
@@ -986,6 +1017,7 @@ func (k *Kernel) runUserDur(e *Env, t *Thread, dur machine.Duration) {
 		t.PendingBurst = dur - slice
 		t.QuantumRemaining = 0
 		k.preemptNow(e, t, "clock interrupt")
+		return
 	}
 	if dur > t.QuantumRemaining {
 		t.QuantumRemaining = 0
@@ -993,8 +1025,7 @@ func (k *Kernel) runUserDur(e *Env, t *Thread, dur machine.Duration) {
 		t.QuantumRemaining -= dur
 	}
 	k.burnUser(t, dur)
-	e.P.pending = k.userStepFn
-	panic(unwound{})
+	e.P.transfer(k.userStepFn)
 }
 
 // burnUser advances simulated time by a user-mode CPU slice, keeping the
@@ -1023,32 +1054,32 @@ func (k *Kernel) preemptNow(e *Env, t *Thread, label string) {
 // The run loop.
 // ---------------------------------------------------------------------
 
-// invoke runs one dispatcher action, absorbing the terminal unwind. Any
-// owed thread_dispatch (latched by resumeOn) runs first, from the new
-// thread's context, exactly as the closure it replaces did.
+// invoke is the dispatch trampoline's body: it runs one dispatcher
+// action, which ends by returning after the one terminal operation that
+// set the processor's next action. Any owed thread_dispatch (latched by
+// resumeOn) runs first, from the new thread's context. An action that
+// returns without transferring control — a handler or continuation that
+// fell off its end — is a kernel bug.
 func (k *Kernel) invoke(p *Processor, act func(*Env)) {
 	e := &p.env
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(unwound); !ok {
-				panic(r)
-			}
-		}
-	}()
 	if old := p.dispose; old != nil {
 		p.dispose = nil
 		k.ThreadDispatch(e, old)
 	}
 	act(e)
+	if !p.transferred {
+		panic(fmt.Sprintf("core: dispatcher action on %v returned without transferring control", p.Cur))
+	}
+	p.transferred = false
 }
 
-// dispatchFresh starts work on a parked processor.
+// dispatchFresh starts work on a parked processor. Terminal.
 func (k *Kernel) dispatchFresh(e *Env) {
 	p := e.P
 	newt := k.Sched.SelectThread(p)
 	if newt == nil {
-		p.pending = nil
-		panic(unwound{})
+		p.transfer(nil)
+		return
 	}
 	k.noteSelected(e, newt)
 	if newt.Cont != nil {
@@ -1057,7 +1088,6 @@ func (k *Kernel) dispatchFresh(e *Env) {
 		newt.Cont = nil
 	}
 	k.resumeOn(p, newt, nil)
-	panic(unwound{})
 }
 
 // Step runs one dispatcher action somewhere in the machine: due events
@@ -1203,7 +1233,8 @@ func (k *Kernel) LiveThreads() int {
 // interrupt never allocates a kernel stack, because the interrupted
 // thread's stack is, in effect, the processor's. The handler may wake
 // threads and queue work but must not block, transfer control, or touch
-// the stack pool; the zero-allocation invariant is asserted here.
+// the stack pool; the no-transfer rule and the zero-allocation invariant
+// are asserted here.
 func (k *Kernel) TakeInterrupt(label string, handler func(*Env)) {
 	// Interrupts are delivered to the first busy processor (its current
 	// stack is borrowed); an idle machine takes them on processor 0.
@@ -1220,6 +1251,9 @@ func (k *Kernel) TakeInterrupt(label string, handler func(*Env)) {
 	e.Charge(k.Costs.InterruptEntry)
 	e.Trace(obs.Interrupt, obs.Text(label))
 	handler(e)
+	if p.transferred {
+		panic(fmt.Sprintf("core: interrupt handler %q transferred control", label))
+	}
 	if k.Stacks.InUse() != before {
 		panic(fmt.Sprintf("core: interrupt handler %q changed the stack census (%d -> %d)",
 			label, before, k.Stacks.InUse()))

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -415,6 +416,7 @@ func TestThreadHandoffAndRecognition(t *testing.T) {
 			if e.K.Recognize(e, recvCont) {
 				recognized = true
 				e.K.ThreadSyscallReturn(e, 7)
+				return
 			}
 			e.K.CallContinuation(e, server.Cont)
 		}),
@@ -673,4 +675,44 @@ func TestValidateCleanAfterEveryScenario(t *testing.T) {
 	if err := k.Validate(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestFallThroughIntoSecondTransferPanics(t *testing.T) {
+	k := newKernel(t, true, 1)
+	prog := &script{actions: []core.Action{
+		core.Syscall("fall_through", func(e *core.Env) {
+			e.K.ThreadSyscallReturn(e, 1)
+			// A missing return: control has already transferred.
+			e.K.ThreadExceptionReturn(e)
+		}),
+	}}
+	k.Setrun(k.NewThread(core.ThreadSpec{Name: "u", SpaceID: 1, Program: prog}))
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "control transferred twice") {
+			t.Fatalf("panic = %v, want the double-transfer panic", r)
+		}
+	}()
+	k.Run(0)
+}
+
+func TestContinuationReturningWithoutTransferPanics(t *testing.T) {
+	k := newKernel(t, true, 1)
+	lazy := core.NewContinuation("lazy", func(e *core.Env) {})
+	prog := &script{actions: []core.Action{
+		core.Syscall("sleep", func(e *core.Env) {
+			th := e.Cur()
+			th.State = core.StateWaiting
+			e.K.Clock.After(1000, "wake", func() { e.K.Setrun(th) })
+			e.K.Block(e, stats.BlockInternal, lazy, nil, 0, "")
+		}),
+	}}
+	k.Setrun(k.NewThread(core.ThreadSpec{Name: "u", SpaceID: 1, Program: prog}))
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "returned without transferring control") {
+			t.Fatalf("panic = %v, want the no-transfer panic", r)
+		}
+	}()
+	k.Run(0)
 }

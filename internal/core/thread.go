@@ -241,7 +241,7 @@ type Action struct {
 
 	// Invoke is the kernel-mode body of an ActSyscall. It runs after
 	// kernel entry and must end in a terminal operation such as
-	// ThreadSyscallReturn or ThreadBlock.
+	// ThreadSyscallReturn or Block.
 	Invoke func(*Env)
 
 	// Name labels the syscall for traces.

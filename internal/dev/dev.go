@@ -357,9 +357,10 @@ func (s *Subsystem) ioLoop(e *core.Env) {
 			if k.Recognize(e, r.Expect) {
 				k.Stats.IoDoneRecognitions++
 				r.Inline(e)
-				panic("dev: io_done inline completion returned")
+				return
 			}
 			k.CallContinuation(e, e.Cur().Cont)
+			return
 		}
 		if w.State == core.StateWaiting {
 			k.Setrun(w)
@@ -399,6 +400,7 @@ func (s *Subsystem) deviceReadContinue(e *core.Env) {
 	if code, ok := s.ioErr[t.ID]; ok {
 		delete(s.ioErr, t.ID)
 		s.retryOrFail(e, code, s.ContDeviceRead)
+		return
 	}
 	n := int(t.Scratch.Word(0))
 	e.Charge(machine.CopyBytes(n))
@@ -431,6 +433,7 @@ func (s *Subsystem) deviceWriteContinue(e *core.Env) {
 	if code, ok := s.ioErr[t.ID]; ok {
 		delete(s.ioErr, t.ID)
 		s.retryOrFail(e, code, s.ContDeviceWrite)
+		return
 	}
 	s.K.ThreadSyscallReturn(e, uint64(t.Scratch.Word(0)))
 }

@@ -76,6 +76,7 @@ func (s *Subsystem) retryOrFail(e *core.Env, code uint64, cont *core.Continuatio
 	attempt := int(t.Scratch.Word(1))
 	if code == DevAborted || d == nil || attempt >= s.IoMaxRetries {
 		s.K.ThreadSyscallReturn(e, code)
+		return
 	}
 	attempt++
 	t.Scratch.PutWord(1, uint32(attempt))

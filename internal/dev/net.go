@@ -604,6 +604,7 @@ func (n *Netmsg) forwardSink(e *core.Env, remote string, msg *ipc.Message, opts 
 	n.X.FreeMessage(msg)
 	if opts.ReceiveFrom != nil {
 		n.X.ReceiveTimeout(e, opts.ReceiveFrom, opts.MaxSize, opts.RcvTimeout)
+		return
 	}
 	n.Sub.K.ThreadSyscallReturn(e, ipc.MsgSuccess)
 }
@@ -799,7 +800,9 @@ func (n *Netmsg) loop(e *core.Env) {
 		pkt := n.inbox[0]
 		n.inbox = n.inbox[1:]
 		e.Charge(netmsgDemuxCost)
-		n.deliver(e, pkt)
+		if n.deliver(e, pkt) {
+			return
+		}
 	}
 	t := e.Cur()
 	t.State = core.StateWaiting
@@ -812,15 +815,16 @@ func (n *Netmsg) loop(e *core.Env) {
 // already waiting with mach_msg_continue, the netmsg thread hands its
 // stack straight over and recognition completes the receive inline — the
 // §2.3 fast path driven by an internal thread instead of a local sender.
-// May be terminal (handoff) or return (queued delivery).
-func (n *Netmsg) deliver(e *core.Env, pkt *Packet) {
+// It reports whether it transferred control that way (the caller must
+// then return at once) rather than queueing the message.
+func (n *Netmsg) deliver(e *core.Env, pkt *Packet) (transferred bool) {
 	k := n.Sub.K
 	// Membership first: a stale packet — one that outlived a crash on
 	// either end — is discarded before the protocol sees it, and in
 	// particular is never acknowledged (an ack would quiet the sender's
 	// retransmit timer for a request that was never delivered).
 	if n.noteIncarnation(pkt) {
-		return
+		return false
 	}
 	if pkt.Ack {
 		if u := n.unacked[pkt.Seq]; u != nil {
@@ -828,7 +832,7 @@ func (n *Netmsg) deliver(e *core.Env, pkt *Packet) {
 			delete(n.unacked, pkt.Seq)
 		}
 		n.AcksRx++
-		return
+		return false
 	}
 	if n.Reliable && pkt.Seq != 0 {
 		// Acknowledge before anything else: the delivery below may end in
@@ -842,18 +846,18 @@ func (n *Netmsg) deliver(e *core.Env, pkt *Packet) {
 			SrcInc: n.Inc, DstInc: pkt.SrcInc})
 		if n.seen[pkt.Seq] {
 			n.DupsDropped++
-			return
+			return false
 		}
 		n.seen[pkt.Seq] = true
 	}
 	if pkt.Heartbeat {
 		n.HeartbeatsRx++
-		return
+		return false
 	}
 	port := n.exported[pkt.DstPort]
 	if port == nil || port.Dead() {
 		n.Dropped++
-		return
+		return false
 	}
 	var reply *ipc.Port
 	if pkt.ReplyPort != "" {
@@ -892,11 +896,14 @@ func (n *Netmsg) deliver(e *core.Env, pkt *Packet) {
 				panic("dev: netmsg delivery lost its message")
 			}
 			n.X.CompleteReceive(e, m)
+			return true
 		}
 		k.CallContinuation(e, e.Cur().Cont)
+		return true
 	}
 	n.X.Enqueue(e, port, msg)
 	if recv != nil {
 		k.Setrun(recv)
 	}
+	return false
 }

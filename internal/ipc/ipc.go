@@ -330,6 +330,12 @@ type IPC struct {
 	waiterFree []*rcvWaiter
 	msgFree    []*Message
 
+	// liveRegs counts each thread's uncancelled waiter registrations,
+	// indexed by thread ID: newWaiter increments it, cancel decrements it.
+	// ReleaseThread sweeps the waiter lists only for a thread whose count
+	// is nonzero; Residue's full scan checks that a zero count never lies.
+	liveRegs []int32
+
 	// msgSendRetryFn is the bound method value of msgSendRetry, built once
 	// so blockFullQueue does not allocate a closure per full-queue park.
 	msgSendRetryFn func(*core.Env)
@@ -339,8 +345,8 @@ type IPC struct {
 
 	// UserReturnHook, when non-nil, is consulted as a receive completes,
 	// before control transfers back to user space. Returning true means
-	// the hook performed the user-level transfer itself (it must be
-	// terminal). This is the §4 extension point: a registered overriding
+	// the hook performed the user-level transfer itself (it ended in a
+	// terminal operation); false means it did not transfer. This is the §4 extension point: a registered overriding
 	// user-level continuation for system call returns (the LRPC-style
 	// transfer protocol).
 	UserReturnHook func(e *core.Env, t *core.Thread, m *Message) bool
@@ -529,7 +535,7 @@ func (x *IPC) popWaiterList(list *[]*rcvWaiter) *core.Thread {
 			x.freeWaiter(w)
 			continue
 		}
-		w.cancelled = true
+		x.cancel(w)
 		if w.timeout != nil {
 			x.K.Clock.Cancel(w.timeout)
 			w.timeout = nil
@@ -548,8 +554,13 @@ func (x *IPC) popWaiterList(list *[]*rcvWaiter) *core.Thread {
 	return res
 }
 
-// newWaiter takes a registration from the free list, or allocates one.
+// newWaiter takes a registration for t from the free list, or allocates
+// one, and counts it live; the caller puts it on a waiter list.
 func (x *IPC) newWaiter(t *core.Thread) *rcvWaiter {
+	for len(x.liveRegs) <= t.ID {
+		x.liveRegs = append(x.liveRegs, 0)
+	}
+	x.liveRegs[t.ID]++
 	if n := len(x.waiterFree); n > 0 {
 		w := x.waiterFree[n-1]
 		x.waiterFree[n-1] = nil
@@ -558,6 +569,16 @@ func (x *IPC) newWaiter(t *core.Thread) *rcvWaiter {
 		return w
 	}
 	return &rcvWaiter{t: t}
+}
+
+// cancel marks a registration cancelled, once, and drops it from its
+// thread's live count. Callouts are the caller's business.
+func (x *IPC) cancel(w *rcvWaiter) {
+	if w.cancelled {
+		return
+	}
+	w.cancelled = true
+	x.liveRegs[w.t.ID]--
 }
 
 // freeWaiter recycles a registration that has left its waiter list. A
@@ -581,8 +602,8 @@ func (p *Port) push(x *IPC, t *core.Thread) *rcvWaiter {
 }
 
 // MachMsg is the mach_msg system call: an optional send phase followed by
-// an optional receive phase. It must be invoked from a syscall handler
-// and is terminal.
+// an optional receive phase. It must be invoked from a syscall handler.
+// Terminal.
 func (x *IPC) MachMsg(e *core.Env, opts MsgOptions) {
 	e.Charge(validateCost)
 	src := opts.receiveSource()
@@ -599,6 +620,7 @@ func (x *IPC) MachMsg(e *core.Env, opts MsgOptions) {
 	}
 	if opts.Send != nil {
 		x.send(e, opts, src)
+		return
 	}
 	if src == nil {
 		panic("ipc: mach_msg with neither send nor receive")
@@ -606,9 +628,8 @@ func (x *IPC) MachMsg(e *core.Env, opts MsgOptions) {
 	x.receive(e, src, opts.MaxSize, opts.RcvTimeout)
 }
 
-// send runs the send phase. It returns normally only when the transfer
-// continued into the receive phase of the same call; otherwise it is
-// terminal.
+// send runs the send phase, then the receive phase of the same call if
+// it has one. Terminal.
 func (x *IPC) send(e *core.Env, opts MsgOptions, src source) {
 	k := x.K
 	t := e.Cur()
@@ -629,6 +650,7 @@ func (x *IPC) send(e *core.Env, opts MsgOptions, src source) {
 		// The destination was destroyed: the send fails immediately and
 		// the receive phase is not attempted.
 		k.ThreadSyscallReturn(e, SendInvalidDest)
+		return
 	}
 
 	if dest.KernelSink != nil {
@@ -636,7 +658,7 @@ func (x *IPC) send(e *core.Env, opts MsgOptions, src source) {
 		// allocate its options, sink or no sink.
 		o := opts
 		dest.KernelSink(e, msg, &o)
-		panic("ipc: kernel sink returned instead of transferring control")
+		return
 	}
 
 	e.Charge(findRecvCost)
@@ -651,7 +673,7 @@ func (x *IPC) send(e *core.Env, opts MsgOptions, src source) {
 	case StyleMK40:
 		if recv != nil && recv.Cont != nil && k.CanHandoff() {
 			x.sendHandoff(e, opts, src, recv)
-			return // unreachable; sendHandoff is terminal
+			return
 		}
 		if recv != nil {
 			// Receiver blocked under the process model (rare in MK40):
@@ -679,6 +701,7 @@ func (x *IPC) send(e *core.Env, opts MsgOptions, src source) {
 				k.BlockDirected(e, stats.BlockReceive,
 					func(e2 *core.Env) { x.resumeReceive(e2, src, maxSize) },
 					192, "mach_msg", recv)
+				return
 			}
 			if src != nil {
 				// The sender's receive completes immediately; wake the
@@ -686,16 +709,19 @@ func (x *IPC) send(e *core.Env, opts MsgOptions, src source) {
 				e.Charge(wakeupCost)
 				k.Setrun(recv)
 				x.receive(e, src, opts.MaxSize, opts.RcvTimeout)
+				return
 			}
 			e.Charge(wakeupCost)
 			k.Setrun(recv)
 			k.ThreadSyscallReturn(e, MsgSuccess)
+			return
 		}
 	case StyleMach25:
 		// Always queue; the receiver (if any) is merely made runnable
 		// and the general scheduler arbitrates.
 		if len(dest.queue) >= dest.limit() {
 			x.blockFullQueue(e, dest, opts)
+			return
 		}
 		x.enqueue(e, dest, msg)
 		if recv != nil {
@@ -711,6 +737,7 @@ func (x *IPC) send(e *core.Env, opts MsgOptions, src source) {
 	// first if the queue is at its limit).
 	if len(dest.queue) >= dest.limit() {
 		x.blockFullQueue(e, dest, opts)
+		return
 	}
 	x.enqueue(e, dest, msg)
 	x.finishSendPhase(e, opts)
@@ -739,7 +766,7 @@ func (x *IPC) blockFullQueue(e *core.Env, dest *Port, opts MsgOptions) {
 			if w.cancelled || w.t.State != core.StateWaiting {
 				return
 			}
-			w.cancelled = true
+			x.cancel(w)
 			x.rcvError[w.t.ID] = SendTimedOut
 			x.K.Setrun(w.t)
 		})
@@ -757,6 +784,7 @@ func (x *IPC) msgSendRetry(e *core.Env) {
 	if code, ok := x.rcvError[t.ID]; ok {
 		delete(x.rcvError, t.ID)
 		x.K.ThreadSyscallReturn(e, code)
+		return
 	}
 	dest := t.Scratch.Ref(0).(*Port)
 	msg := t.Scratch.Ref(1).(*Message)
@@ -788,7 +816,7 @@ func (x *IPC) wakeSender(p *Port) {
 			x.freeWaiter(w)
 			continue
 		}
-		w.cancelled = true
+		x.cancel(w)
 		if w.timeout != nil {
 			x.K.Clock.Cancel(w.timeout)
 			w.timeout = nil
@@ -815,7 +843,7 @@ func (x *IPC) armTimeout(w *rcvWaiter, d machine.Duration) {
 		if w.cancelled || w.t.State != core.StateWaiting {
 			return
 		}
-		w.cancelled = true
+		x.cancel(w)
 		x.rcvError[w.t.ID] = RcvTimedOut
 		x.K.Setrun(w.t)
 	})
@@ -835,7 +863,7 @@ func (x *IPC) DestroyPort(e *core.Env, p *Port) {
 		if w.cancelled || w.t.State != core.StateWaiting {
 			continue
 		}
-		w.cancelled = true
+		x.cancel(w)
 		if w.timeout != nil {
 			x.K.Clock.Cancel(w.timeout)
 		}
@@ -847,7 +875,7 @@ func (x *IPC) DestroyPort(e *core.Env, p *Port) {
 		if w.cancelled || w.t.State != core.StateWaiting {
 			continue
 		}
-		w.cancelled = true
+		x.cancel(w)
 		if w.timeout != nil {
 			x.K.Clock.Cancel(w.timeout)
 		}
@@ -867,11 +895,11 @@ func (x *IPC) enqueue(e *core.Env, p *Port, msg *Message) {
 	e.Trace(obs.QueueMessage, obs.Text(p.Name))
 }
 
-// finishSendPhase either falls into the receive phase (returning to the
-// caller) or completes a send-only call. Terminal unless a receive phase
-// follows.
+// finishSendPhase either runs the call's receive phase or completes a
+// send-only call. Terminal.
 func (x *IPC) finishSendPhase(e *core.Env, opts MsgOptions) {
-	if opts.receiveSource() != nil {
+	if src := opts.receiveSource(); src != nil {
+		x.receive(e, src, opts.MaxSize, opts.RcvTimeout)
 		return
 	}
 	x.K.ThreadSyscallReturn(e, MsgSuccess)
@@ -893,6 +921,7 @@ func (x *IPC) sendHandoff(e *core.Env, opts MsgOptions, src source, recv *core.T
 		e.Charge(wakeupCost)
 		k.Setrun(recv)
 		k.ThreadSyscallReturn(e, MsgSuccess)
+		return
 	}
 
 	// The handoff requires that the sender's receive phase would
@@ -903,6 +932,7 @@ func (x *IPC) sendHandoff(e *core.Env, opts MsgOptions, src source, recv *core.T
 		e.Charge(wakeupCost)
 		k.Setrun(recv)
 		x.receive(e, src, opts.MaxSize, opts.RcvTimeout)
+		return
 	}
 
 	// Combined send/receive: the sender blocks waiting for its own
@@ -931,6 +961,7 @@ func (x *IPC) sendHandoff(e *core.Env, opts MsgOptions, src source, recv *core.T
 			panic("ipc: fast path lost its message")
 		}
 		x.copyOutAndReturn(e, m)
+		return
 	}
 	// Unusual receiver: give it its own continuation, which redoes the
 	// option processing.
@@ -952,16 +983,20 @@ func (x *IPC) receive(e *core.Env, src source, maxSize int, timeout machine.Dura
 	if code, ok := x.rcvError[t.ID]; ok {
 		delete(x.rcvError, t.ID)
 		x.K.ThreadSyscallReturn(e, code)
+		return
 	}
 	// A message may already have been handed to us.
 	if m := x.takeDelivered(t); m != nil {
 		x.finishReceiveChecked(e, m, maxSize)
+		return
 	}
 	if src.isDead() {
 		x.K.ThreadSyscallReturn(e, RcvPortDied)
+		return
 	}
 	if m := src.pull(x, e); m != nil {
 		x.finishReceiveChecked(e, m, maxSize)
+		return
 	}
 
 	// Nothing available: block. Nearly all receivers block on the common
@@ -988,6 +1023,7 @@ func (x *IPC) receive(e *core.Env, src source, maxSize int, timeout machine.Dura
 
 // resumeReceive is the process-model resumption of a blocked receive.
 // Re-parsing costs are charged where a message is actually dequeued.
+// Terminal.
 func (x *IPC) resumeReceive(e *core.Env, src source, maxSize int) {
 	x.receive(e, src, maxSize, 0)
 }
@@ -1001,10 +1037,12 @@ func (x *IPC) msgContinue(e *core.Env) {
 	if code, ok := x.rcvError[t.ID]; ok {
 		delete(x.rcvError, t.ID)
 		x.K.ThreadSyscallReturn(e, code)
+		return
 	}
 	if m := x.takeDelivered(t); m != nil {
 		x.SlowReceives++
 		x.copyOutAndReturn(e, m)
+		return
 	}
 	// Woken to drain the queue.
 	x.receive(e, src, maxSize, 0)
@@ -1020,10 +1058,12 @@ func (x *IPC) msgReceiveSlow(e *core.Env) {
 	if code, ok := x.rcvError[t.ID]; ok {
 		delete(x.rcvError, t.ID)
 		x.K.ThreadSyscallReturn(e, code)
+		return
 	}
 	if m := x.takeDelivered(t); m != nil {
 		x.SlowReceives++
 		x.finishReceiveChecked(e, m, maxSize)
+		return
 	}
 	x.receive(e, src, maxSize, 0)
 }
@@ -1044,6 +1084,7 @@ func (x *IPC) finishReceiveChecked(e *core.Env, m *Message, maxSize int) {
 		e.Charge(optionCheckCost)
 		if m.Size > maxSize {
 			x.K.ThreadSyscallReturn(e, RcvTooLarge)
+			return
 		}
 	}
 	x.copyOutAndReturn(e, m)
@@ -1060,7 +1101,7 @@ func (x *IPC) copyOutAndReturn(e *core.Env, m *Message) {
 	}
 	x.received[t.ID] = m
 	if x.UserReturnHook != nil && x.UserReturnHook(e, t, m) {
-		panic("ipc: user return hook returned instead of transferring control")
+		return
 	}
 	x.K.ThreadSyscallReturn(e, MsgSuccess)
 }

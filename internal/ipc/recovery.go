@@ -18,7 +18,7 @@ func (x *IPC) AbortWaiter(t *core.Thread) (code uint64, ok bool) {
 			if w.cancelled || w.t != t {
 				continue
 			}
-			w.cancelled = true
+			x.cancel(w)
 			if w.timeout != nil {
 				x.K.Clock.Cancel(w.timeout)
 			}

@@ -10,7 +10,9 @@ import "repro/internal/core"
 // cancelled with its callout disarmed — which also makes the
 // registration recyclable (freeWaiter refuses registrations holding an
 // armed timeout, so before this an abnormally terminated receiver could
-// strand its registration for the garbage collector).
+// strand its registration for the garbage collector). The waiter lists
+// are swept only when the thread still counts a live registration, so a
+// normal reap costs O(1) rather than O(ports).
 func (x *IPC) ReleaseThread(t *core.Thread) {
 	if m := x.delivered[t.ID]; m != nil {
 		delete(x.delivered, t.ID)
@@ -21,6 +23,9 @@ func (x *IPC) ReleaseThread(t *core.Thread) {
 		x.FreeMessage(m)
 	}
 	delete(x.rcvError, t.ID)
+	if t.ID >= len(x.liveRegs) || x.liveRegs[t.ID] == 0 {
+		return
+	}
 	for _, p := range x.ports {
 		x.cancelRegistrations(p.waiters, t)
 		x.cancelRegistrations(p.sendWaiters, t)
@@ -42,14 +47,16 @@ func (x *IPC) cancelRegistrations(list []*rcvWaiter, t *core.Thread) {
 			x.K.Clock.Cancel(w.timeout)
 			w.timeout = nil
 		}
-		w.cancelled = true
+		x.cancel(w)
 	}
 }
 
 // Residue counts IPC state still attached to a thread: pending message
 // buffers, a saved receive error, and live waiter registrations. It is
 // zero after ReleaseThread; the kern reaper asserts this census on every
-// reap so a leak on the abnormal-termination path fails loudly.
+// reap so a leak on the abnormal-termination path fails loudly. Its full
+// scan of the waiter lists is also what catches a live-registration count
+// that reads zero while a registration is still live.
 func (x *IPC) Residue(t *core.Thread) int {
 	n := 0
 	if x.delivered[t.ID] != nil {

@@ -55,6 +55,7 @@ func (s *System) abortReturn(e *core.Env) {
 	delete(s.abortCode, t.ID)
 	if t.UserReturn == core.ReturnException {
 		s.K.ThreadExceptionReturn(e)
+		return
 	}
 	s.K.ThreadSyscallReturn(e, code)
 }

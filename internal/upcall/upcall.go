@@ -214,6 +214,7 @@ func (a *AsyncIO) Wait(e *core.Env) {
 	t := e.Cur()
 	if len(a.ready[t.ID]) > 0 {
 		a.collect(e)
+		return
 	}
 	if a.inflight[t.ID] == 0 {
 		panic(fmt.Sprintf("upcall: %v waits with no I/O in flight", t))
@@ -232,6 +233,7 @@ func (a *AsyncIO) collect(e *core.Env) {
 	if len(q) == 0 {
 		// Spurious wake: wait again.
 		a.Wait(e)
+		return
 	}
 	c := q[0]
 	a.ready[t.ID] = q[1:]

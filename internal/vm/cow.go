@@ -88,6 +88,7 @@ func (v *VM) breakCow(e *core.Env, sp *Space, page uint64, entry *pageEntry) {
 		entry.shared = nil
 		v.CowBreaks++
 		v.K.ThreadExceptionReturn(e)
+		return
 	}
 	if v.FreeFrames == 0 {
 		// Need a frame for the private copy: wait and retry the fault.
@@ -101,6 +102,7 @@ func (v *VM) breakCow(e *core.Env, sp *Space, page uint64, entry *pageEntry) {
 		v.K.Block(e, blockReasonFault, v.ContFaultRetry,
 			func(e2 *core.Env) { v.HandleFault(e2, page<<PageShift, true) },
 			160, "vm-cow-frame-wait")
+		return
 	}
 	// Copy the page into a private frame.
 	v.FreeFrames--

@@ -210,7 +210,7 @@ func (v *VM) SpaceOf(t *core.Thread) *Space {
 }
 
 // HandleFault services a user-level page fault on the current thread.
-// Installed as the kernel's fault handler; terminal.
+// Installed as the kernel's fault handler. Terminal.
 func (v *VM) HandleFault(e *core.Env, addr uint64, write bool) {
 	e.Charge(faultSoftCost)
 	t := e.Cur()
@@ -219,11 +219,13 @@ func (v *VM) HandleFault(e *core.Env, addr uint64, write bool) {
 		if write && entry.shared != nil {
 			// A store to a copy-on-write page: resolve the sharing.
 			v.breakCow(e, sp, addr>>PageShift, entry)
+			return
 		}
 		// The page arrived while we trapped (or the program re-touched a
 		// mapped page): nothing to wait for.
 		v.FastFaults++
 		v.K.ThreadExceptionReturn(e)
+		return
 	}
 	v.fault(e, addr, write)
 }
@@ -249,6 +251,7 @@ func (v *VM) fault(e *core.Env, addr uint64, write bool) {
 		t.WaitLabel = "vm: frame wait"
 		v.K.Block(e, stats.BlockPageFault, v.ContFaultRetry,
 			func(e2 *core.Env) { v.HandleFault(e2, page<<PageShift, write) }, 160, "vm-frame-wait")
+		return
 	}
 
 	// Claim a frame and start the disk read.
