@@ -5,25 +5,31 @@
 //
 // Usage:
 //
-//	machsim [-workload compile|build|dos|netrpc|kv|svcgraph|mtload]
+//	machsim [-workload compile|build|dos|netrpc|failover|kv|svcgraph|storm|mtload]
 //	        [-flavor mk40|mk32|mach25] [-arch ds3100|toshiba]
 //	        [-scale f] [-seed n] [-v]
-//	        [-pairs n] [-clients n] [-parallel] [-failover]
+//	        [-pairs n] [-clients n] [-parallel]
 //	        [-machines n] [-tenants n] [-sessions n]
 //	        [-faults seed:spec] [-crash M@T[:reboot+N]]
 //	        [-fuzz seed:count] [-fuzzout dir] [-breakkv]
 //	        [-overload off|on[:k=v,...]] [-breakoverload]
 //	        [-check] [-trace out.json] [-profile] [-sample 1/N]
 //
+// Each workload reads a fixed set of flags (listed in the workloads
+// table below); setting any other flag exits 2 naming the flag and the
+// workload, so no flag is ever silently ignored.
+//
 // Workloads:
 //
 //   - compile, build, dos: the paper's single-machine workloads (Tables
-//     1 and 2); -scale and -seed apply.
+//     1 and 2); -scale, -seed and -v apply.
 //   - netrpc: two machines joined by a NIC pair running cross-machine
 //     echo RPCs through the in-kernel netmsg threads. -pairs n boots n
 //     client/server pairs (2n machines); -clients n runs n client
-//     threads per client machine; -failover boots the 4-machine HA
-//     topology (client, primary, replica, client) instead.
+//     threads per client machine.
+//   - failover: the 4-machine HA topology — client, primary, replica,
+//     client — whose clients fail over to the replica when the primary
+//     goes silent and fail back after its warm reboot.
 //   - kv: the replicated sharded key/value service — two client machines
 //     driving a primary/backup replica pair with epoch-numbered leases,
 //     fencing tokens and heartbeat-driven leader election. -clients sets
@@ -31,6 +37,15 @@
 //   - svcgraph: the multi-tier service graph — frontend -> cache ->
 //     replicated KV — reporting per-tier throughput and p50/p99 latency
 //     from the service histograms.
+//   - storm: the overload scenario — the svcgraph chain under open-loop
+//     session load with a canonical trigger (demand burst + cache gray
+//     failure + link delay) that tips the uncontrolled system into a
+//     metastable retry storm. `-overload off` runs the negative arm — the
+//     verdict line reads METASTABLE when goodput stays collapsed for five
+//     trigger durations after the trigger cleared — and the default
+//     (`-overload on`) must read RECOVERED (90% of baseline goodput within
+//     two trigger durations). -faults overrides the trigger schedule,
+//     -sessions the open-loop session count.
 //   - mtload: the open-loop multi-tenant load generator at cluster
 //     scale — -machines n client/server hosts (even, default 8) carrying
 //     -tenants k traffic classes (default 4) whose sessions a
@@ -41,48 +56,36 @@
 //     report's per-tenant p50/p99 and SLA-attainment include queueing
 //     delay. The aggregate report ends with the cluster memory census:
 //     stacks stay O(processors) per machine while blocked sessions scale
-//     into the 10^5..10^6 range. -machines/-tenants/-sessions only make
-//     sense here, and the pair/fault flags of the other cluster
-//     workloads make no sense here; machsim rejects either mixture.
-//     Adding -overload switches mtload into the storm scenario (below).
+//     into the 10^5..10^6 range.
 //
-// -overload arms the end-to-end overload controls on the kv and mtload
-// workloads: absolute deadlines propagated in the message headers (every
-// tier sheds dead work on dequeue), per-client retry budgets, CoDel-style
-// admission control at the cache and KV tiers, and a circuit breaker in
-// the clients. "on" uses the canonical policy; "on:deadline=8ms,budget=4"
+// -overload arms the end-to-end overload controls on kv and storm:
+// absolute deadlines propagated in the message headers (every tier sheds
+// dead work on dequeue), per-client retry budgets, CoDel-style admission
+// control at the cache and KV tiers, and a circuit breaker in the
+// clients. "on" uses the canonical policy; "on:deadline=8ms,budget=4"
 // overrides fields (keys: deadline, target, interval, budget, refill,
-// breaker, cooldown); a malformed spec exits 2 naming the offending
-// rule. Shed operations are definite no-ops: the linearizability checker
+// breaker, cooldown); a malformed spec exits 2 naming the offending rule.
+// Shed operations are definite no-ops: the linearizability checker
 // excludes them and -breakoverload runs the deliberately broken replica
 // that applies an already-expired write before claiming it was shed —
-// the phantom write the checker must flag.
+// the phantom write the checker must flag. -breakoverload exits 2 unless
+// the controls are on.
 //
-// On mtload, -overload selects the storm scenario instead of the
-// balancer cluster: the 4-machine frontend/cache/KV chain under
-// open-loop session load with a canonical trigger (demand burst + cache
-// gray failure + link delay) that tips the uncontrolled system into a
-// metastable retry storm. `-overload off` runs the negative arm — the
-// report's verdict line reads METASTABLE when goodput stays collapsed
-// for five trigger durations after the trigger cleared — and `-overload
-// on` must read RECOVERED (90% of baseline goodput within two trigger
-// durations). -faults overrides the trigger schedule, -sessions the
-// open-loop session count; -machines/-tenants are rejected there.
-//
-// Shared cluster flags: -parallel drives the machines on one goroutine
-// each (output stays byte-identical to the sequential driver); -crash
+// Cluster flags: -parallel drives the machines on one goroutine each
+// (output stays byte-identical to the sequential driver); -crash
 // injects whole-machine crashes (below); -faults adds wire/device
 // faults.
 //
 // -faults installs a seeded deterministic fault plan, e.g.
 // "42:drop=0.1,devfail=0.05,devslow=0.1:2ms"; wire faults switch the
 // netmsg threads to the reliable seq/ack protocol. -check runs the
-// kernel invariant sweep after every dispatch. The same -faults argument
-// always produces byte-identical output — the CI determinism smoke
-// diffs two such runs.
+// kernel invariant sweep and the watchdog after every dispatch (and the
+// cluster driver's cross-check); reports with a faults section end with
+// a final invariant check. The same -faults argument always produces
+// byte-identical output — the CI determinism smoke diffs two such runs.
 //
 // Beyond the probabilistic keys, the spec grammar schedules topology
-// faults enforced at the NIC/link plane:
+// faults enforced at the NIC/link plane of every cluster workload:
 //
 //   - partition=A|B@T+D cuts every link between machine groups A and B
 //     (dot-separated indices, e.g. 1|0.2.3) from offset T for duration D;
@@ -93,26 +96,28 @@
 //   - gray=M:F@T+D runs machine M at 1/F speed — a gray failure: the
 //     machine is alive and answering, just pathologically slow;
 //   - burst=F@T+D multiplies the open-loop offered load by F (demand-side:
-//     the storm and mtload sessions divide their think gaps by it).
+//     only the storm's sessions have an offered load to multiply).
 //
 // The kv workload records every client operation and checks the merged
 // history for per-key linearizability, plus a split-brain assertion over
 // the replicas' durable ack logs; the report prints the verdict and a
-// nemesis timeline. -fuzz seed:count generates `count` random nemesis
-// schedules from `seed`, runs the kv workload under each, and checks
-// every history; on a violation it greedily shrinks the schedule and
-// prints a minimal reproducing -faults argument, then exits nonzero.
-// -fuzzout dir dumps each schedule's history. -breakkv disables the
-// replicas' partition-heal safety machinery (rejoin state merge, deposed
-// stall) — the deliberately broken build the checker must flag.
+// nemesis timeline, and a kv or storm run that violates either (or reads
+// a value contradicting an acknowledged write) exits 1. -fuzz seed:count
+// generates `count` random nemesis schedules from `seed`, runs the kv
+// workload under each, and checks every history; on a violation it
+// greedily shrinks the schedule and prints a minimal reproducing
+// command, then exits 1. -fuzzout dir dumps each schedule's history.
+// -breakkv disables the replicas' partition-heal safety machinery
+// (rejoin state merge, deposed stall) — the deliberately broken build
+// the checker must flag.
 //
 // -crash M@T[:reboot+N] is sugar for a crash=… rule in the fault spec:
 // machine M halts at simulated offset T, dropping all in-flight state,
 // and (with :reboot+N) warm-reboots N later under a new incarnation. The
-// flag is repeatable. M is a machine index, or a role alias resolved
-// against the chosen workload: netrpc/kv accept client/primary/
-// replica(backup); svcgraph accepts frontend/cache/primary/
-// replica(backup). For netrpc, -crash implies -failover. Crashing the kv
+// flag is repeatable and applies to the workloads that re-install their
+// services on reboot: failover, kv, svcgraph and storm. M is a machine
+// index or a role alias from the workload's cluster description
+// (client, primary, replica/backup, frontend, cache). Crashing the kv
 // primary for longer than the membership silence deadline (e.g. -crash
 // primary@40ms:reboot+160ms) forces a leader election on the backup and
 // a fencing rejection of the rebooted primary's stale lease epochs —
@@ -126,16 +131,16 @@
 // latency histograms after the run. Both are deterministic: the same
 // flags and seed produce byte-identical traces and reports.
 //
-// The kv and svcgraph workloads additionally run causal tracing: every
-// client operation mints a deterministic trace context that rides the
-// netmsg header across machines, and each tier records spans (queue,
-// service, wire, retry, election) into its machine's recorder. The
-// report ends with a critical-path attribution table — per-segment
-// p50/p99 over the sampled operations plus the slowest ops decomposed
-// so each op's segment sum equals its measured round-trip. -sample 1/N
-// head-samples the traces (keep the 1-in-N hash class of trace ids;
-// default 1/1 keeps all). Exported spans appear in the -trace file as
-// "X" events with cross-machine flow arrows; summarize them with
+// The kv, svcgraph and storm workloads additionally run causal tracing:
+// every client operation mints a deterministic trace context that rides
+// the netmsg header across machines, and each tier records spans (queue,
+// service, wire, retry, election) into its machine's recorder. The kv
+// and svcgraph reports end with a critical-path attribution table —
+// per-segment p50/p99 over the sampled operations plus the slowest ops
+// decomposed so each op's segment sum equals its measured round-trip.
+// -sample 1/N head-samples the traces (keep the 1-in-N hash class of
+// trace ids; default 1/1 keeps all). Exported spans appear in the -trace
+// file as "X" events with cross-machine flow arrows; summarize them with
 // traceview -spans.
 package main
 
@@ -143,6 +148,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/fault"
@@ -154,320 +160,312 @@ import (
 	"repro/internal/workload"
 )
 
-var (
-	workloadName = flag.String("workload", "compile", "compile, build, dos, netrpc, kv, svcgraph, or mtload")
-	flavorName   = flag.String("flavor", "mk40", "mk40, mk32, or mach25")
-	archName     = flag.String("arch", "toshiba", "ds3100 or toshiba")
-	scale        = flag.Float64("scale", 0.25, "fraction of the paper's duration to simulate")
-	seed         = flag.Uint64("seed", 12345, "workload random seed")
-	verbose      = flag.Bool("v", false, "also print per-component detail")
-	faultsFlag   = flag.String("faults", "", "seed:spec fault plan, e.g. 42:drop=0.1,devfail=0.05")
-	check        = flag.Bool("check", false, "run the kernel invariant sweep after every dispatch")
-	traceFile    = flag.String("trace", "", "write a Chrome trace_event JSON trace to this file")
-	profile      = flag.Bool("profile", false, "print the continuation profile and latency histograms")
-	pairs        = flag.Int("pairs", 1, "netrpc: client/server machine pairs (2*pairs machines)")
-	clients      = flag.Int("clients", 1, "netrpc: client threads per client machine")
-	parallel     = flag.Bool("parallel", false, "netrpc: run machines on goroutines (byte-identical output)")
-	failover     = flag.Bool("failover", false, "netrpc: boot the 4-machine HA topology (client/primary/replica/client)")
-	fuzzFlag     = flag.String("fuzz", "", "kv: fuzz nemesis schedules, seed:count (e.g. 7:25)")
-	fuzzOut      = flag.String("fuzzout", "", "kv fuzz: directory receiving one history dump per schedule")
-	breakKV      = flag.Bool("breakkv", false, "kv: run the deliberately broken replicas (checker must flag them)")
-	sampleFlag   = flag.String("sample", "", "kv/svcgraph: head-sample 1/N of operation traces (default 1/1, keep all)")
-	machines     = flag.Int("machines", 8, "mtload: cluster size (even, >= 2)")
-	tenants      = flag.Int("tenants", 4, "mtload: tenant count")
-	sessions     = flag.Int("sessions", 0, "mtload: sessions per tenant (default 100 per machine)")
-	overloadFlag = flag.String("overload", "", "kv/mtload: overload controls, off|on[:key=value,...] (mtload: selects the storm scenario)")
-	breakOv      = flag.Bool("breakoverload", false, "kv/mtload: replicas apply already-expired writes before shedding them (checker must flag)")
+// options is the parsed command line.
+type options struct {
+	workload, flavorName, archName string
 
-	// sampleEvery is the parsed -sample denominator (1 = keep everything).
-	sampleEvery = 1
+	scale    float64
+	seed     uint64
+	verbose  bool
+	faults   string
+	check    bool
+	trace    string
+	profile  bool
+	pairs    int
+	clients  int
+	parallel bool
+	fuzz     string
+	fuzzOut  string
+	breakKV  bool
+	sample   string
+	machines int
+	tenants  int
+	sessions int
+	overload string
+	breakOv  bool
+	crashes  []string
 
-	// ovPolicy is the parsed -overload policy (zero value, Enabled false,
-	// when the flag is absent — armed workloads stay byte-identical to the
-	// legacy report in that case).
-	ovPolicy overload.Policy
+	// set holds the flags given on the command line.
+	set map[string]bool
 
-	// crashFlags collects the repeatable -crash flag's raw values; each is
-	// sugar for a crash=… rule in the -faults spec. The machine part may
-	// be a role alias (primary, cache, …), which only resolves once the
-	// workload is known — so parsing is deferred to resolveCrashes.
-	crashFlags []string
-)
+	// Resolved by resolve.
+	def         *workloadDef
+	flavor      kern.Flavor
+	arch        machine.Arch
+	faultSeed   uint64
+	faultSpec   fault.Spec
+	crashRules  []fault.Crash
+	sampleEvery int
+	policy      overload.Policy
+	fuzzSeed    uint64
+	fuzzCount   int
+}
 
-func init() {
-	flag.Func("crash", "crash machine M (index or role alias) at offset T, e.g. primary@40ms:reboot+80ms (repeatable; implies -failover for netrpc)",
+// newFlags declares machsim's flags on a fresh set bound to o.
+func newFlags(o *options, handling flag.ErrorHandling) *flag.FlagSet {
+	fs := flag.NewFlagSet("machsim", handling)
+	fs.StringVar(&o.workload, "workload", "compile", "compile, build, dos, netrpc, failover, kv, svcgraph, storm, or mtload")
+	fs.StringVar(&o.flavorName, "flavor", "mk40", "mk40, mk32, or mach25")
+	fs.StringVar(&o.archName, "arch", "toshiba", "ds3100 or toshiba")
+	fs.Float64Var(&o.scale, "scale", 0.25, "fraction of the paper's duration to simulate")
+	fs.Uint64Var(&o.seed, "seed", 12345, "workload random seed")
+	fs.BoolVar(&o.verbose, "v", false, "also print per-component detail")
+	fs.StringVar(&o.faults, "faults", "", "seed:spec fault plan, e.g. 42:drop=0.1,devfail=0.05")
+	fs.BoolVar(&o.check, "check", false, "run the kernel invariant sweep and watchdog after every dispatch")
+	fs.StringVar(&o.trace, "trace", "", "write a Chrome trace_event JSON trace to this file")
+	fs.BoolVar(&o.profile, "profile", false, "print the continuation profile and latency histograms")
+	fs.IntVar(&o.pairs, "pairs", 1, "netrpc: client/server machine pairs (2*pairs machines)")
+	fs.IntVar(&o.clients, "clients", 1, "client threads per client machine")
+	fs.BoolVar(&o.parallel, "parallel", false, "run cluster machines on goroutines (byte-identical output)")
+	fs.StringVar(&o.fuzz, "fuzz", "", "kv: fuzz nemesis schedules, seed:count (e.g. 7:25)")
+	fs.StringVar(&o.fuzzOut, "fuzzout", "", "kv -fuzz: directory receiving one history dump per schedule")
+	fs.BoolVar(&o.breakKV, "breakkv", false, "kv: run the deliberately broken replicas (checker must flag them)")
+	fs.StringVar(&o.sample, "sample", "", "kv/svcgraph: head-sample 1/N of operation traces (default 1/1, keep all)")
+	fs.IntVar(&o.machines, "machines", 8, "mtload: cluster size (even, >= 2)")
+	fs.IntVar(&o.tenants, "tenants", 4, "mtload: tenant count")
+	fs.IntVar(&o.sessions, "sessions", 0, "mtload: sessions per tenant (default 100 per machine); storm: open-loop sessions")
+	fs.StringVar(&o.overload, "overload", "", "kv/storm: overload controls, off|on[:key=value,...]")
+	fs.BoolVar(&o.breakOv, "breakoverload", false, "kv/storm: replicas apply already-expired writes before shedding them (checker must flag)")
+	fs.Func("crash", "crash machine M (index or role alias) at offset T, e.g. primary@40ms:reboot+80ms (repeatable)",
 		func(val string) error {
-			crashFlags = append(crashFlags, val)
+			o.crashes = append(o.crashes, val)
 			return nil
 		})
+	return fs
 }
 
-// crashAliases maps each cluster workload's role names to machine
-// indices in its topology.
-var crashAliases = map[string]map[string]int{
-	"netrpc": {
-		"client": 0, "primary": 1, "replica": 2, "backup": 2,
-	},
-	"kv": {
-		"client": 0, "primary": 1, "replica": 2, "backup": 2,
-	},
-	"svcgraph": {
-		"frontend": 0, "cache": 1, "primary": 2, "replica": 3, "backup": 3,
-	},
+// workloadDef declares one workload: the flags it reads beyond
+// -workload, -flavor and -arch, its cluster shape, and how to run it.
+type workloadDef struct {
+	// flags lists the flags the workload reads, space-separated.
+	flags string
+	// cluster: partition, link and gray rules apply (every cluster
+	// installs the fault plan's topology). openLoop: burst rules apply
+	// too — the workload has open-loop demand to multiply.
+	cluster, openLoop bool
+	// roles are the machines of a workload that re-installs its services
+	// on reboot: -crash applies, and they are its aliases.
+	roles []string
+	// overload is the -overload setting when the flag is absent.
+	overload string
+	// run runs the workload and returns the exit status.
+	run func(o *options) int
 }
 
-// resolveCrashes parses the collected -crash flags for the chosen
-// workload, translating role aliases into machine indices first.
-func resolveCrashes(workloadName string) []fault.Crash {
-	aliases := crashAliases[workloadName]
-	out := make([]fault.Crash, 0, len(crashFlags))
-	for _, val := range crashFlags {
+const (
+	singleFlags  = "scale seed v faults check trace profile"
+	clusterFlags = "faults check trace profile parallel"
+)
+
+var workloads = map[string]*workloadDef{
+	"compile":  {flags: singleFlags, run: runSingle},
+	"build":    {flags: singleFlags, run: runSingle},
+	"dos":      {flags: singleFlags, run: runSingle},
+	"netrpc":   {flags: "pairs clients " + clusterFlags, cluster: true, run: runNet(workload.RunNetRPC)},
+	"failover": {flags: "clients " + clusterFlags, cluster: true, roles: workload.FailoverRoles, run: runNet(workload.RunFailover)},
+	"kv": {flags: "clients seed sample breakkv overload breakoverload " + clusterFlags,
+		cluster: true, roles: workload.KVRoles, run: runKV},
+	"svcgraph": {flags: "clients seed sample " + clusterFlags, cluster: true, roles: workload.ChainRoles, run: runSvcGraph},
+	"storm": {flags: "seed sessions overload breakoverload " + clusterFlags,
+		cluster: true, openLoop: true, roles: workload.ChainRoles, overload: "on", run: runStorm},
+	"mtload": {flags: "machines tenants sessions seed check trace profile parallel", cluster: true, run: runMTLoad},
+}
+
+// fuzzDef is the kv fault-schedule fuzzing campaign -fuzz selects.
+var fuzzDef = &workloadDef{flags: "fuzz fuzzout breakkv overload breakoverload parallel", run: runFuzz}
+
+// reads reports whether the workload reads the named flag.
+func (d *workloadDef) reads(name string) bool {
+	switch name {
+	case "workload", "flavor", "arch":
+		return true
+	case "crash":
+		return d.roles != nil
+	}
+	return strings.Contains(" "+d.flags+" ", " "+name+" ")
+}
+
+// resolve validates the parsed command line against the chosen
+// workload's declaration and parses every flag value, before anything
+// boots. fs is the set o was parsed by.
+func (o *options) resolve(fs *flag.FlagSet) error {
+	o.set = map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
+	name := o.workload
+	if o.set["fuzz"] {
+		// The campaign fuzzes the kv workload.
+		if o.set["workload"] && name != "kv" {
+			return fmt.Errorf("-fuzz does not apply to -workload %s (it fuzzes kv)", name)
+		}
+		name, o.workload, o.def = "kv -fuzz", "kv", fuzzDef
+	} else if o.def = workloads[name]; o.def == nil {
+		return fmt.Errorf("unknown workload %q", name)
+	}
+	unread := ""
+	fs.VisitAll(func(f *flag.Flag) {
+		if unread == "" && o.set[f.Name] && !o.def.reads(f.Name) {
+			unread = f.Name
+		}
+	})
+	if unread != "" {
+		return fmt.Errorf("-%s does not apply to -workload %s", unread, name)
+	}
+
+	var ok bool
+	if o.flavor, ok = workload.FlavorNames[o.flavorName]; !ok {
+		return fmt.Errorf("unknown flavor %q", o.flavorName)
+	}
+	if o.arch, ok = workload.ArchNames[o.archName]; !ok {
+		return fmt.Errorf("unknown arch %q", o.archName)
+	}
+	for _, n := range []struct {
+		flag string
+		v    int
+	}{{"pairs", o.pairs}, {"clients", o.clients}, {"tenants", o.tenants}, {"sessions", o.sessions}} {
+		if o.set[n.flag] && n.v < 1 {
+			return fmt.Errorf("-%s must be >= 1, got %d", n.flag, n.v)
+		}
+	}
+	if o.machines < 2 || o.machines%2 != 0 {
+		return fmt.Errorf("-machines must be even and >= 2, got %d", o.machines)
+	}
+
+	if o.faults != "" {
+		var err error
+		if o.faultSeed, o.faultSpec, err = fault.ParseFlag(o.faults); err != nil {
+			return err
+		}
+	}
+	for _, val := range o.crashes {
 		if at := strings.IndexByte(val, '@'); at > 0 {
-			if idx, ok := aliases[strings.TrimSpace(val[:at])]; ok {
+			if idx, ok := workload.RoleIndex(o.def.roles, strings.TrimSpace(val[:at])); ok {
 				val = fmt.Sprintf("%d%s", idx, val[at:])
 			}
 		}
 		c, err := fault.ParseCrash(val)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return err
 		}
-		out = append(out, c)
+		o.crashRules = append(o.crashRules, c)
 	}
-	return out
-}
+	if err := o.checkFaultRules(name); err != nil {
+		return err
+	}
 
-// mtloadOnlyFlags and clusterOnlyFlags partition the flags that bind to
-// one workload family: the first group only means something under
-// -workload mtload, the second only under the pair/fault workloads.
-// stormFlags are the cluster flags the mtload storm scenario (selected by
-// -overload) takes back: the storm has a real fault plane and traces.
-var (
-	mtloadOnlyFlags  = []string{"machines", "tenants", "sessions"}
-	clusterOnlyFlags = []string{
-		"pairs", "clients", "failover", "faults", "crash",
-		"fuzz", "fuzzout", "breakkv", "sample", "scale",
-	}
-	stormFlags = map[string]bool{"faults": true, "sample": true}
-)
-
-// validateWorkloadFlags rejects nonsensical flag combinations before any
-// machine boots: mtload-only sizing flags on other workloads, the
-// pair/fault flags on mtload, overload flags on workloads with no
-// shedding tiers, and mtload sizes that cannot describe a cluster. set
-// reports whether a flag appeared on the command line (flagWasSet in
-// production; a stub in tests).
-//
-// -overload on mtload switches it into the storm scenario: a fixed
-// 4-machine frontend/cache/KV chain under open-loop session load, where
-// -faults names the trigger schedule and -sessions the open-loop session
-// count. The mtload sizing flags -machines/-tenants describe the
-// balancer cluster and mean nothing there.
-func validateWorkloadFlags(name string, machines, tenants, sessions int, set func(string) bool) error {
-	if set("breakoverload") && !set("overload") {
-		return fmt.Errorf("-breakoverload requires -overload (nothing sheds without it)")
-	}
-	if name != "mtload" {
-		if set("overload") && name != "kv" {
-			return fmt.Errorf("-overload only applies to -workload kv or mtload (got %q)", name)
+	if o.sample != "" {
+		n, err := obs.ParseSample(o.sample)
+		if err != nil {
+			return err
 		}
-		for _, f := range mtloadOnlyFlags {
-			if set(f) {
-				return fmt.Errorf("-%s only applies to -workload mtload (got %q)", f, name)
-			}
-		}
-		return nil
+		o.sampleEvery = n
 	}
-	storm := set("overload")
-	for _, f := range clusterOnlyFlags {
-		if !set(f) {
-			continue
-		}
-		if storm && stormFlags[f] {
-			continue
-		}
-		if storm {
-			return fmt.Errorf("-%s does not apply to the mtload storm scenario (-overload)", f)
-		}
-		return fmt.Errorf("-%s does not apply to -workload mtload", f)
+	ov := o.overload
+	if !o.set["overload"] {
+		ov = o.def.overload
 	}
-	if storm {
-		for _, f := range []string{"machines", "tenants"} {
-			if set(f) {
-				return fmt.Errorf("-%s does not apply to the mtload storm scenario (-overload); the storm topology is fixed, only -sessions sizes the load", f)
-			}
+	if ov != "" {
+		p, err := overload.ParsePolicy(ov)
+		if err != nil {
+			return err
 		}
-		if set("sessions") && sessions < 1 {
-			return fmt.Errorf("-sessions must be >= 1, got %d", sessions)
+		o.policy = p
+	}
+	if o.breakOv && !o.policy.Enabled {
+		return fmt.Errorf("-breakoverload requires -overload on (nothing sheds without it)")
+	}
+	if o.set["fuzz"] {
+		seedPart, countPart, ok := strings.Cut(o.fuzz, ":")
+		if ok {
+			_, err1 := fmt.Sscanf(seedPart, "%d", &o.fuzzSeed)
+			_, err2 := fmt.Sscanf(countPart, "%d", &o.fuzzCount)
+			ok = err1 == nil && err2 == nil && o.fuzzCount > 0
 		}
-		return nil
-	}
-	if machines < 2 || machines%2 != 0 {
-		return fmt.Errorf("-machines must be even and >= 2, got %d", machines)
-	}
-	if tenants < 1 {
-		return fmt.Errorf("-tenants must be >= 1, got %d", tenants)
-	}
-	if set("sessions") && sessions < 1 {
-		return fmt.Errorf("-sessions must be >= 1, got %d", sessions)
+		if !ok {
+			return fmt.Errorf("-fuzz wants seed:count, got %q", o.fuzz)
+		}
 	}
 	return nil
 }
 
-// topologyKinds names, per workload, the topology-fault rule kinds it
-// enforces: kv and the mtload storm bind their machines to the spec's
-// fault.Topology, the storm's sessions also scale their arrivals by a
-// burst, and kv's closed-loop callers have no offered load for a burst
-// to multiply. Every other workload would run as if the rule were absent.
-func topologyKinds(name string, storm bool) map[string]bool {
-	switch {
-	case name == "kv":
-		return map[string]bool{"partition": true, "link": true, "gray": true}
-	case name == "mtload" && storm:
-		return map[string]bool{"partition": true, "link": true, "gray": true, "burst": true}
-	}
-	return nil
-}
-
-// validateTopologyFaults rejects topology rules (partition, link, gray,
-// burst) the chosen workload would silently ignore.
-func validateTopologyFaults(name string, storm bool, spec fault.Spec) error {
-	enforced := topologyKinds(name, storm)
+// checkFaultRules rejects the fault rules the workload would not
+// enforce, and crashes of machines it does not have.
+func (o *options) checkFaultRules(name string) error {
+	fs := o.faultSpec
 	for _, r := range []struct {
 		kind string
 		n    int
+		ok   bool
 	}{
-		{"partition", len(spec.Partitions)},
-		{"link", len(spec.Links)},
-		{"gray", len(spec.Grays)},
-		{"burst", len(spec.Bursts)},
+		{"partition", len(fs.Partitions), o.def.cluster},
+		{"link", len(fs.Links), o.def.cluster},
+		{"gray", len(fs.Grays), o.def.cluster},
+		{"burst", len(fs.Bursts), o.def.openLoop},
+		{"crash", len(fs.Crashes), o.def.roles != nil},
 	} {
-		if r.n > 0 && !enforced[r.kind] {
-			return fmt.Errorf("-faults: %s rules have no effect on -workload %s (partition/link/gray apply to kv and the mtload storm, burst only to the storm)", r.kind, name)
+		if r.n > 0 && !r.ok {
+			return fmt.Errorf("-faults: %s rules have no effect on -workload %s", r.kind, name)
+		}
+	}
+	for _, c := range slices.Concat(fs.Crashes, o.crashRules) {
+		if c.Machine >= len(o.def.roles) {
+			return fmt.Errorf("crash names machine %d; -workload %s has machines 0..%d", c.Machine, name, len(o.def.roles)-1)
 		}
 	}
 	return nil
 }
 
-func main() {
-	flag.Parse()
+// clusterOptions assembles the shared cluster settings from the flags.
+func (o *options) clusterOptions() workload.ClusterOptions {
+	spec := o.faultSpec
+	spec.Crashes = slices.Concat(spec.Crashes, o.crashRules)
+	return workload.ClusterOptions{
+		FaultSeed: o.faultSeed, FaultSpec: spec,
+		Parallel: o.parallel, DebugChecks: o.check, SampleEvery: o.sampleEvery,
+	}
+}
 
-	if err := validateWorkloadFlags(*workloadName, *machines, *tenants, *sessions, flagWasSet); err != nil {
+// reportOptions selects the report's faults and check sections.
+func (o *options) reportOptions() workload.NetRPCReportOptions {
+	return workload.NetRPCReportOptions{Faults: o.faults != "" || len(o.crashRules) > 0, Check: o.check}
+}
+
+func main() {
+	var o options
+	fs := newFlags(&o, flag.ExitOnError)
+	fs.Parse(os.Args[1:])
+	if err := o.resolve(fs); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	os.Exit(o.def.run(&o))
+}
 
-	var flavor kern.Flavor
-	switch *flavorName {
-	case "mk40":
-		flavor = kern.MK40
-	case "mk32":
-		flavor = kern.MK32
-	case "mach25":
-		flavor = kern.Mach25
-	default:
-		fmt.Fprintf(os.Stderr, "unknown flavor %q\n", *flavorName)
-		os.Exit(2)
-	}
-
-	var arch machine.Arch
-	switch *archName {
-	case "ds3100":
-		arch = machine.ArchDS3100
-	case "toshiba":
-		arch = machine.ArchToshiba5200
-	default:
-		fmt.Fprintf(os.Stderr, "unknown arch %q\n", *archName)
-		os.Exit(2)
-	}
-
-	var faultSeed uint64
-	var faultSpec fault.Spec
-	if *faultsFlag != "" {
-		var err error
-		faultSeed, faultSpec, err = fault.ParseFlag(*faultsFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if err := validateTopologyFaults(*workloadName, flagWasSet("overload"), faultSpec); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	}
-
-	if *sampleFlag != "" {
-		n, err := obs.ParseSample(*sampleFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		sampleEvery = n
-	}
-
-	if flagWasSet("overload") {
-		p, err := overload.ParsePolicy(*overloadFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		ovPolicy = p
-	}
-
-	faultSpec.Crashes = append(faultSpec.Crashes, resolveCrashes(*workloadName)...)
-
-	if *fuzzFlag != "" {
-		runFuzz(flavor, arch)
-		return
-	}
-
-	switch *workloadName {
-	case "netrpc":
-		runNetRPC(flavor, arch, faultSeed, faultSpec)
-		return
-	case "kv":
-		runKV(flavor, arch, faultSeed, faultSpec)
-		return
-	case "svcgraph":
-		runSvcGraph(flavor, arch, faultSeed, faultSpec)
-		return
-	case "mtload":
-		if flagWasSet("overload") {
-			runStorm(flavor, arch, faultSeed, faultSpec)
-		} else {
-			runMTLoad(flavor, arch)
-		}
-		return
-	}
-
+// runSingle runs one of the paper's single-machine workloads.
+func runSingle(o *options) int {
 	var spec workload.Spec
-	switch *workloadName {
+	switch o.workload {
 	case "compile":
 		spec = workload.CompileTest()
 	case "build":
 		spec = workload.KernelBuild()
-	case "dos":
-		spec = workload.DOSEmulation()
 	default:
-		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *workloadName)
-		os.Exit(2)
+		spec = workload.DOSEmulation()
 	}
-
-	wspec := spec.Scale(*scale)
+	flavor, arch := o.flavor, o.arch
+	wspec := spec.Scale(o.scale)
 	sys := workload.NewSystem(flavor, arch, wspec)
-	sys.K.DebugChecks = *check
-	sys.InjectFaults(faultSeed, faultSpec)
-	var rec *obs.Recorder
-	if *traceFile != "" || *profile {
-		rec = sys.EnableObservation(0)
+	sys.K.DebugChecks = o.check
+	sys.InjectFaults(o.faultSeed, o.faultSpec)
+	if o.trace != "" || o.profile {
+		sys.EnableObservation(0)
 	}
-	inst := workload.Install(sys, wspec, *seed)
+	inst := workload.Install(sys, wspec, o.seed)
 	inst.Run()
 	st := sys.K.Stats
 	total := st.TotalBlocks()
 
 	fmt.Printf("%s on %v/%v — %.0f simulated seconds (scale %.2f), %d blocking operations\n\n",
-		spec.Name, flavor, arch, sys.K.Clock.Now().Seconds(), *scale, total)
+		spec.Name, flavor, arch, sys.K.Clock.Now().Seconds(), o.scale, total)
 
 	fmt.Printf("%-20s %12s %8s\n", "operation", "blocks", "%")
 	for _, r := range stats.DiscardReasons {
@@ -492,9 +490,9 @@ func main() {
 	fmt.Printf("per-thread kernel memory now: %.0f bytes (static %v: %d bytes)\n",
 		sys.MeasuredPerThreadBytes(), flavor, flavor.StaticThreadSpace().Total())
 
-	printFaultReport(sys)
+	workload.WriteFaultReport(os.Stdout, sys, o.reportOptions())
 
-	if *verbose {
+	if o.verbose {
 		fmt.Printf("\ndetail:\n")
 		fmt.Printf("  context switches      %12d\n", st.ContextSwitches)
 		fmt.Printf("  continuation calls    %12d\n", st.ContinuationCalls)
@@ -517,27 +515,27 @@ func main() {
 		fmt.Printf("  user time             %12.0f ms\n", float64(sys.K.UserTime)/1e6)
 	}
 
-	if rec != nil {
+	if rec := sys.K.Obs; rec != nil {
 		rec.Census = sys.MemoryCensus()
 	}
-	emitObservations(rec)
+	emitObservations(o, sys)
+	return 0
 }
 
 // emitObservations writes the Chrome trace and/or prints the profile
-// report for whichever recorders the run installed (nils are skipped, so
-// callers can pass K.Obs fields directly).
-func emitObservations(recs ...*obs.Recorder) {
+// report for whichever of the machines run a recorder.
+func emitObservations(o *options, machines ...*kern.System) {
 	var live []*obs.Recorder
-	for _, r := range recs {
-		if r != nil {
-			live = append(live, r)
+	for _, sys := range machines {
+		if sys.K.Obs != nil {
+			live = append(live, sys.K.Obs)
 		}
 	}
 	if len(live) == 0 {
 		return
 	}
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
+	if o.trace != "" {
+		f, err := os.Create(o.trace)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -550,9 +548,9 @@ func emitObservations(recs ...*obs.Recorder) {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Printf("\ntrace: wrote %s (%d machine(s))\n", *traceFile, len(live))
+		fmt.Printf("\ntrace: wrote %s (%d machine(s))\n", o.trace, len(live))
 	}
-	if *profile {
+	if o.profile {
 		for i, r := range live {
 			if len(live) > 1 {
 				fmt.Printf("\nmachine %d profile:\n", i)
@@ -564,199 +562,138 @@ func emitObservations(recs ...*obs.Recorder) {
 	}
 }
 
-// printFaultReport prints the fault-injection and recovery counters when
-// a fault plan or the invariant checker is active.
-func printFaultReport(sys *kern.System) {
-	fs := sys.FaultStats()
-	if !*check && *faultsFlag == "" {
-		return
+// checkerStatus turns a run's safety verdict into machsim's exit status:
+// 1, with the violation on stderr, when the run broke a checked
+// property.
+func checkerStatus(violation string) int {
+	if violation == "" {
+		return 0
 	}
-	fmt.Printf("\nfaults & recovery:\n")
-	fmt.Printf("  injected: %s\n", fs)
-	fmt.Printf("  dev: timeouts %d, retries %d, failures surfaced %d\n",
-		sys.Dev.IoTimeouts, sys.Dev.IoRetries, sys.Dev.IoFailures)
-	if sys.Net != nil {
-		fmt.Printf("  net: retransmits %d, acks rx %d, dups dropped %d, lost %d, unacked %d\n",
-			sys.Net.Retransmits, sys.Net.AcksRx, sys.Net.DupsDropped,
-			sys.Net.Lost, sys.Net.UnackedLen())
-	}
-	fmt.Printf("  aborts: %d; invariant sweeps passed: %d\n",
-		sys.Aborted, sys.K.Stats.InvariantPasses)
-	if *check {
-		sys.K.MustValidate()
-		fmt.Printf("  final invariant check: clean\n")
-	}
+	fmt.Fprintf(os.Stderr, "machsim: checker failed: %s\n", violation)
+	return 1
 }
 
-// runNetRPC drives the cross-machine echo workload and prints per-machine
-// block tables plus the device subsystem counters.
-func runNetRPC(flavor kern.Flavor, arch machine.Arch, faultSeed uint64, faultSpec fault.Spec) {
+// netRPCSpec is the netrpc and failover spec the flags describe.
+func netRPCSpec(o *options) workload.NetRPCSpec {
 	spec := workload.DefaultNetRPC()
-	spec.FaultSeed = faultSeed
-	spec.FaultSpec = faultSpec
-	spec.Pairs = *pairs
-	spec.Clients = *clients
-	spec.Parallel = *parallel
-	spec.DebugChecks = *check
-	spec.Observe = *traceFile != "" || *profile
-	spec.Failover = *failover || len(faultSpec.Crashes) > 0
-	res := workload.RunNetRPC(flavor, arch, spec)
+	spec.ClusterOptions = o.clusterOptions()
+	spec.Pairs = o.pairs
+	spec.Clients = o.clients
+	spec.Observe = o.trace != "" || o.profile
+	return spec
+}
 
-	workload.WriteNetRPCReport(os.Stdout, flavor, arch, res, workload.NetRPCReportOptions{
-		Faults: *faultsFlag != "" || len(faultSpec.Crashes) > 0, Check: *check,
-		Failover: spec.Failover,
-	})
-
-	recs := make([]*obs.Recorder, len(res.Machines))
-	for i, sys := range res.Machines {
-		recs[i] = sys.K.Obs
+// runNet drives the netrpc pairs (workload.RunNetRPC) or the HA
+// topology (workload.RunFailover) and prints per-machine block tables
+// plus the device subsystem counters.
+func runNet(run func(kern.Flavor, machine.Arch, workload.NetRPCSpec) *workload.NetRPCResult) func(*options) int {
+	return func(o *options) int {
+		res := run(o.flavor, o.arch, netRPCSpec(o))
+		workload.WriteNetRPCReport(os.Stdout, o.flavor, o.arch, res, o.reportOptions())
+		emitObservations(o, res.Machines...)
+		return 0
 	}
-	emitObservations(recs...)
 }
 
 // runKV drives the replicated sharded KV workload and prints its
 // service-level report plus the per-machine block tables.
-func runKV(flavor kern.Flavor, arch machine.Arch, faultSeed uint64, faultSpec fault.Spec) {
+func runKV(o *options) int {
 	spec := workload.DefaultKV()
-	spec.FaultSeed = faultSeed
-	spec.FaultSpec = faultSpec
-	if flagWasSet("clients") {
-		spec.Clients = *clients
+	spec.ClusterOptions = o.clusterOptions()
+	if o.set["clients"] {
+		spec.Clients = o.clients
 	}
-	if flagWasSet("seed") {
-		spec.Seed = *seed
+	if o.set["seed"] {
+		spec.Seed = o.seed
 	}
-	spec.Parallel = *parallel
-	spec.DebugChecks = *check
-	spec.Break = *breakKV
-	spec.SampleEvery = sampleEvery
-	spec.Overload = ovPolicy
-	spec.BreakOverload = *breakOv
-	res := workload.RunKV(flavor, arch, spec)
-
-	workload.WriteKVReport(os.Stdout, flavor, arch, res, workload.NetRPCReportOptions{
-		Faults: *faultsFlag != "" || len(faultSpec.Crashes) > 0, Check: *check,
-	})
-	emitClusterObservations(res.Machines)
+	spec.Break = o.breakKV
+	spec.Overload = o.policy
+	spec.BreakOverload = o.breakOv
+	res := workload.RunKV(o.flavor, o.arch, spec)
+	workload.WriteKVReport(os.Stdout, o.flavor, o.arch, res, o.reportOptions())
+	emitObservations(o, res.Machines...)
+	return checkerStatus(res.Violation())
 }
 
 // runSvcGraph drives the multi-tier service-graph workload.
-func runSvcGraph(flavor kern.Flavor, arch machine.Arch, faultSeed uint64, faultSpec fault.Spec) {
+func runSvcGraph(o *options) int {
 	spec := workload.DefaultSvcGraph()
-	spec.FaultSeed = faultSeed
-	spec.FaultSpec = faultSpec
-	if flagWasSet("clients") {
-		spec.Frontends = *clients
+	spec.ClusterOptions = o.clusterOptions()
+	if o.set["clients"] {
+		spec.Frontends = o.clients
 	}
-	if flagWasSet("seed") {
-		spec.Seed = *seed
+	if o.set["seed"] {
+		spec.Seed = o.seed
 	}
-	spec.Parallel = *parallel
-	spec.DebugChecks = *check
-	spec.SampleEvery = sampleEvery
-	res := workload.RunSvcGraph(flavor, arch, spec)
-
-	workload.WriteSvcGraphReport(os.Stdout, flavor, arch, res, workload.NetRPCReportOptions{
-		Faults: *faultsFlag != "" || len(faultSpec.Crashes) > 0, Check: *check,
-	})
-	emitClusterObservations(res.Machines)
+	res := workload.RunSvcGraph(o.flavor, o.arch, spec)
+	workload.WriteSvcGraphReport(os.Stdout, o.flavor, o.arch, res, o.reportOptions())
+	emitObservations(o, res.Machines...)
+	return 0
 }
 
-// runStorm drives the mtload overload scenario: the svcgraph-shaped
-// chain under open-loop session load, with the canonical metastable
-// trigger unless -faults overrides it, and the -overload policy deciding
-// whether the cluster survives it.
-func runStorm(flavor kern.Flavor, arch machine.Arch, faultSeed uint64, faultSpec fault.Spec) {
+// runStorm drives the overload storm: the svcgraph chain under open-loop
+// session load, with the canonical metastable trigger unless -faults
+// overrides it, and the -overload policy deciding whether the cluster
+// survives it.
+func runStorm(o *options) int {
 	spec := workload.DefaultStorm()
-	spec.Overload = ovPolicy
-	if flagWasSet("seed") {
-		spec.Seed = *seed
+	if o.faults != "" {
+		spec.FaultSeed, spec.FaultSpec = o.faultSeed, o.faultSpec
 	}
-	if *sessions > 0 {
-		spec.Sessions = *sessions
+	spec.FaultSpec.Crashes = append(spec.FaultSpec.Crashes, o.crashRules...)
+	spec.Parallel = o.parallel
+	spec.DebugChecks = o.check
+	spec.Overload = o.policy
+	spec.BreakOverload = o.breakOv
+	if o.set["seed"] {
+		spec.Seed = o.seed
 	}
-	if *faultsFlag != "" {
-		spec.FaultSeed = faultSeed
-		spec.FaultSpec = faultSpec
+	if o.set["sessions"] {
+		spec.Sessions = o.sessions
 	}
-	spec.Parallel = *parallel
-	spec.DebugChecks = *check
-	spec.BreakOverload = *breakOv
-	spec.SampleEvery = sampleEvery
-	res := workload.RunStorm(flavor, arch, spec)
-	workload.WriteStormReport(os.Stdout, flavor, arch, res)
-	emitClusterObservations(res.Machines)
+	res := workload.RunStorm(o.flavor, o.arch, spec)
+	workload.WriteStormReport(os.Stdout, o.flavor, o.arch, res)
+	emitObservations(o, res.Machines...)
+	return checkerStatus(res.Violation())
 }
 
 // runMTLoad drives the open-loop multi-tenant load generator and prints
 // its aggregate report.
-func runMTLoad(flavor kern.Flavor, arch machine.Arch) {
+func runMTLoad(o *options) int {
 	spec := workload.DefaultMTLoad()
-	spec.Machines = *machines
-	spec.Tenants = *tenants
-	if *sessions > 0 {
-		spec.SessionsPerTenant = *sessions
+	spec.Machines = o.machines
+	spec.Tenants = o.tenants
+	if o.set["sessions"] {
+		spec.SessionsPerTenant = o.sessions
 	}
-	if flagWasSet("seed") {
-		spec.Seed = *seed
+	if o.set["seed"] {
+		spec.Seed = o.seed
 	}
-	spec.Parallel = *parallel
-	spec.DebugChecks = *check
-	res := workload.RunMTLoad(flavor, arch, spec)
+	spec.Parallel = o.parallel
+	spec.DebugChecks = o.check
+	res := workload.RunMTLoad(o.flavor, o.arch, spec)
 	workload.WriteMTLoadReport(os.Stdout, res)
-	emitClusterObservations(res.Machines)
+	emitObservations(o, res.Machines...)
+	return 0
 }
 
 // runFuzz runs the kv nemesis fuzzing campaign named by -fuzz seed:count
-// and exits nonzero when any schedule's history violates.
-func runFuzz(flavor kern.Flavor, arch machine.Arch) {
-	seedPart, countPart, ok := strings.Cut(*fuzzFlag, ":")
-	var seed uint64
-	var count int
-	if ok {
-		_, err1 := fmt.Sscanf(seedPart, "%d", &seed)
-		_, err2 := fmt.Sscanf(countPart, "%d", &count)
-		ok = err1 == nil && err2 == nil && count > 0
-	}
-	if !ok {
-		fmt.Fprintf(os.Stderr, "-fuzz wants seed:count, got %q\n", *fuzzFlag)
-		os.Exit(2)
-	}
+// and exits 1 when any schedule's history violates.
+func runFuzz(o *options) int {
 	res, err := workload.FuzzKV(workload.FuzzKVOptions{
-		Flavor: flavor, Arch: arch,
-		Seed: seed, Count: count,
-		Parallel: *parallel, Break: *breakKV,
-		Overload: ovPolicy, BreakOverload: *breakOv,
-		OutDir: *fuzzOut, Out: os.Stdout,
+		Flavor: o.flavor, Arch: o.arch,
+		Seed: o.fuzzSeed, Count: o.fuzzCount,
+		Parallel: o.parallel, Break: o.breakKV,
+		Overload: o.policy, BreakOverload: o.breakOv,
+		OutDir: o.fuzzOut, Out: os.Stdout,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
 	fmt.Printf("fuzz: %d schedules checked, %d violations\n", res.Ran, res.Violations)
 	if res.Violations > 0 {
-		os.Exit(1)
+		return 1
 	}
-}
-
-// flagWasSet reports whether the named flag appeared on the command
-// line — spec defaults only yield to explicit overrides.
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
-
-// emitClusterObservations forwards every machine's recorder to
-// emitObservations.
-func emitClusterObservations(machines []*kern.System) {
-	recs := make([]*obs.Recorder, len(machines))
-	for i, sys := range machines {
-		recs[i] = sys.K.Obs
-	}
-	emitObservations(recs...)
+	return 0
 }

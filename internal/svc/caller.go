@@ -316,6 +316,11 @@ func (c *Caller) Step(e *core.Env, t *core.Thread) (core.Action, bool) {
 					c.shed(t, "rejected")
 				}
 			case w.NotLeader && c.phase == phaseOps:
+				// A redirect does not prove the write was never applied: a
+				// leader deposed mid-replication bounces writes it has
+				// already applied (bouncePending), so the op's fate is
+				// unknown and it can no longer be a definite no-op.
+				c.opRefused = false
 				g := c.group()
 				if w.Leader >= 0 && w.Leader < NumRanks && w.Leader != c.believed[g] {
 					c.believed[g] = w.Leader

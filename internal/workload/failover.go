@@ -32,35 +32,6 @@ const haMaxAttempts = 64
 // replyOpBit marks an echo reply's OpID (the server sets op|0x8000).
 const replyOpBit = 0x8000
 
-// RecoveryStats is the crash/failover accounting of one run, summed over
-// all machines and clients.
-type RecoveryStats struct {
-	Crashes        uint64 // whole-machine crash events fired
-	Reboots        uint64 // warm reboots completed
-	DeathsDetected uint64 // times a link declared its peer dead
-	Recoveries     uint64 // times a declared-dead peer was heard again
-	StaleDropped   uint64 // packets discarded by the incarnation check
-	Heartbeats     uint64 // explicit incarnation announcements sent
-	Failovers      uint64 // client switches primary -> replica
-	Failbacks      uint64 // client switches replica -> primary
-	Salvaged       uint64 // RPCs that needed more than one attempt
-	Failed         uint64 // RPCs abandoned after haMaxAttempts
-}
-
-// fill sums the machine-side counters (the client-side ones are added by
-// the driver from each haClient).
-func (r *RecoveryStats) fill(machines []*kern.System) {
-	for _, s := range machines {
-		t := s.NetTotals()
-		r.Crashes += s.CrashCount
-		r.Reboots += s.Reboots
-		r.DeathsDetected += t.DeathsDetected
-		r.Recoveries += t.Recoveries
-		r.StaleDropped += t.StaleDropped
-		r.Heartbeats += t.HeartbeatsTx
-	}
-}
-
 // haClient issues echo RPCs against the primary server (Links[0]) with a
 // receive timeout, retrying with a fresh operation id on every attempt.
 // On a timeout it consults the primary link's membership state and fails
@@ -185,119 +156,61 @@ func (c *haClient) Next(e *core.Env, t *core.Thread) core.Action {
 	return c.sendAct
 }
 
-// runNetRPCFailover is RunNetRPC's HA branch.
-func runNetRPCFailover(flavor kern.Flavor, arch machine.Arch, spec NetRPCSpec) *NetRPCResult {
-	res, clis, readers := bootNetRPCFailover(flavor, arch, spec)
-	cluster := kern.NewCluster(res.Machines...)
-	cluster.CrossCheck = spec.DebugChecks
-	start := res.Client.K.Clock.Now()
-	res.Steps = cluster.Drive(spec.Parallel)
-	for _, cli := range clis {
-		res.Completed += cli.done
-		res.Recovery.Failovers += cli.Failovers
-		res.Recovery.Failbacks += cli.Failbacks
-		res.Recovery.Salvaged += cli.Salvaged
-		res.Recovery.Failed += uint64(cli.failed)
-	}
-	for i, rd := range readers {
-		if i < len(res.DiskReadsDone) {
-			res.DiskReadsDone[i] = rd.done
-		}
-	}
-	res.Elapsed = machine.Duration(res.Client.K.Clock.Now() - start)
-	res.Recovery.fill(res.Machines)
-	stampCensus(res.Machines)
-	return res
-}
+// FailoverRoles are the HA topology's machines: two clients, each wired
+// to the primary and the replica echo server.
+var FailoverRoles = []string{"client", "primary", "replica", "client"}
 
-// bootNetRPCFailover builds the four-machine HA cluster: machine 0 and 3
-// are clients, 1 is the primary server, 2 the replica. Every machine has
-// two links; clients reach the primary on Links[0] and the replica on
-// Links[1], servers reach client 0 on Links[0] and client 1 on Links[1].
-func bootNetRPCFailover(flavor kern.Flavor, arch machine.Arch, spec NetRPCSpec) (*NetRPCResult, []*haClient, []*diskReader) {
-	cfg := kern.Config{Flavor: flavor, Arch: arch, DiskLatency: spec.DiskLatency}
-	msgBytes := spec.MsgBytes
-	if msgBytes < ipc.HeaderBytes {
-		msgBytes = ipc.HeaderBytes
-	}
+// RunFailover boots and drives the HA topology: machines 0 and 3 are
+// clients, 1 the primary server, 2 the replica. Clients reach the primary
+// on Links[0] and the replica on Links[1]; servers reach client 0 on
+// Links[0] and client 1 on Links[1]. Every link runs the reliable
+// protocol: failover detection and stale-incarnation rejection ride its
+// stamps and retransmits. spec.Pairs does not apply.
+func RunFailover(flavor kern.Flavor, arch machine.Arch, spec NetRPCSpec) *NetRPCResult {
+	msgBytes := max(spec.MsgBytes, ipc.HeaderBytes)
 	timeout := spec.RPCTimeout
 	if timeout == 0 {
 		timeout = DefaultRPCTimeout
 	}
-	clientsPer := spec.Clients
-	if clientsPer <= 0 {
-		clientsPer = 1
-	}
+	clientsPer := max(spec.Clients, 1)
 
-	res := &NetRPCResult{}
-	sys := make([]*kern.System, 4)
-	for i := range sys {
-		sys[i] = kern.New(cfg)
-		sys[i].AddLink()
-	}
-	client0, primary, replica, client1 := sys[0], sys[1], sys[2], sys[3]
-	dev.Connect(client0.Links[0].NIC, primary.Links[0].NIC, spec.Wire)
-	dev.Connect(client0.Links[1].NIC, replica.Links[0].NIC, spec.Wire)
-	dev.Connect(client1.Links[0].NIC, primary.Links[1].NIC, spec.Wire)
-	dev.Connect(client1.Links[1].NIC, replica.Links[1].NIC, spec.Wire)
-	for i, s := range sys {
-		s.InjectFaults(spec.FaultSeed+uint64(i), spec.FaultSpec)
-		// HA always runs the reliable protocol: failover detection and
-		// stale-incarnation rejection ride its stamps and retransmits.
-		for _, n := range s.Links {
-			n.EnableReliable()
-		}
-		if spec.DebugChecks {
-			s.K.DebugChecks = true
-			s.EnableWatchdog()
-		}
-		if spec.Observe {
-			r := s.EnableObservation(0)
-			r.SetHost(i)
-		}
-	}
+	res := &NetRPCResult{ha: true}
+	res.Cluster = Boot(ClusterSpec{
+		ClusterOptions: spec.ClusterOptions,
+		Config:         kern.Config{Flavor: flavor, Arch: arch, DiskLatency: spec.DiskLatency},
+		Roles:          FailoverRoles,
+		Links:          [][2]int{{0, 1}, {0, 2}, {3, 1}, {3, 2}},
+		Reliable:       true,
+		Observe:        spec.Observe,
+	})
+	sys := res.Machines
 
-	// Echo servers, re-installed by the reboot script so a crashed server
+	// Echo servers, re-installed on every warm reboot so a crashed server
 	// comes back serving.
-	installEcho := func(s *kern.System) {
-		st := s.NewTask("echo-server")
-		sport := s.IPC.NewPort("echo")
-		if clientsPer > 1 {
-			sport.QueueLimit = 4 * clientsPer
-		}
-		for _, n := range s.Links {
-			n.Export("echo", sport)
-		}
-		s.Start(st.NewThread("srv", &netEchoServer{sys: s, port: sport}, 20))
-	}
-	installEcho(primary)
-	installEcho(replica)
-	primary.OnReboot = installEcho
-	replica.OnReboot = installEcho
-
-	// Clients, also re-started by the reboot script: the program object
-	// survives its machine's crash, so a rebooted client resumes at the
-	// RPC it was on (with a fresh reply port — the old one died with the
-	// old incarnation's IPC).
-	var clis []*haClient
-	startClients := func(s *kern.System, mine []*haClient) func(*kern.System) {
-		boot := func(s *kern.System) {
-			ct := s.NewTask("net-client")
-			for _, cli := range mine {
-				cli.reply = s.IPC.NewPort(cli.name + "-reply")
-				cli.waiting = false
-				cli.attempts = 0
-				s.Start(ct.NewThread(cli.name, cli, 10))
+	for _, s := range sys[1:3] {
+		s.RegisterService("echo", func(s *kern.System) {
+			st := s.NewTask("echo-server")
+			sport := s.IPC.NewPort("echo")
+			if clientsPer > 1 {
+				sport.QueueLimit = 4 * clientsPer
 			}
-		}
-		boot(s)
-		return boot
+			for _, n := range s.Links {
+				n.Export("echo", sport)
+			}
+			s.Start(st.NewThread("srv", &netEchoServer{sys: s, port: sport}, 20))
+		})
 	}
-	for _, cm := range []*kern.System{client0, client1} {
+
+	// Clients, also re-started on reboot: the program object survives its
+	// machine's crash, so a rebooted client resumes at the RPC it was on
+	// (with a fresh reply port — the old one died with the old
+	// incarnation's IPC).
+	var clis []*haClient
+	for _, cm := range []*kern.System{sys[0], sys[3]} {
 		var mine []*haClient
 		for j := 0; j < clientsPer; j++ {
 			name := "cli"
-			if cm == client1 {
+			if cm == sys[3] {
 				name = "cli-b"
 			}
 			if j > 0 {
@@ -308,24 +221,27 @@ func bootNetRPCFailover(flavor kern.Flavor, arch machine.Arch, spec NetRPCSpec) 
 			mine = append(mine, cli)
 			clis = append(clis, cli)
 		}
-		cm.OnReboot = startClients(cm, mine)
+		cm.RegisterService("clients", func(s *kern.System) {
+			ct := s.NewTask("net-client")
+			for _, cli := range mine {
+				cli.reply = s.IPC.NewPort(cli.name + "-reply")
+				cli.waiting = false
+				cli.attempts = 0
+				s.Start(ct.NewThread(cli.name, cli, 10))
+			}
+		})
 	}
+	readers := startDiskReaders(sys, spec)
+	res.Client, res.Server = sys[0], sys[1]
 
-	// One disk reader per machine keeps the device layer busy, so a crash
-	// lands on real in-flight I/O.
-	var readers []*diskReader
-	if spec.DiskReads > 0 {
-		for _, s := range sys {
-			task := s.NewTask("disk-reader")
-			rd := &diskReader{sys: s, disk: s.Disk,
-				bytes: spec.DiskReadBytes, reads: spec.DiskReads}
-			readers = append(readers, rd)
-			s.Start(task.NewThread("rd", rd, 12))
-		}
+	res.drive()
+	for _, cli := range clis {
+		res.Completed += cli.done
+		res.Recovery.Failovers += cli.Failovers
+		res.Recovery.Failbacks += cli.Failbacks
+		res.Recovery.Salvaged += cli.Salvaged
+		res.Recovery.Failed += uint64(cli.failed)
 	}
-
-	res.Machines = sys
-	res.Client, res.Server = client0, primary
-	scheduleCrashes(sys, spec)
-	return res, clis, readers
+	res.countDiskReads(readers)
+	return res
 }

@@ -16,7 +16,6 @@ import (
 // failover and the failback paths run.
 func crashSpec() NetRPCSpec {
 	spec := DefaultNetRPC()
-	spec.Failover = true
 	spec.FaultSpec.Crashes = []fault.Crash{
 		{Machine: 1, At: machine.Time(40 * 1e6), RebootAfter: machine.Duration(40 * 1e6)},
 	}
@@ -30,7 +29,7 @@ func crashSpec() NetRPCSpec {
 func TestCrashFailoverCompletesAllRPCs(t *testing.T) {
 	spec := crashSpec()
 	spec.DebugChecks = true
-	res := RunNetRPC(kern.MK40, machine.ArchDS3100, spec)
+	res := RunFailover(kern.MK40, machine.ArchDS3100, spec)
 
 	want := 2 * spec.RPCs // one client thread on each of the two client machines
 	if res.Completed != want {
@@ -64,12 +63,11 @@ func TestCrashFailoverCompletesAllRPCs(t *testing.T) {
 // loses no RPCs — the clients finish on the replica and never fail back.
 func TestCrashWithoutRebootFailsOver(t *testing.T) {
 	spec := DefaultNetRPC()
-	spec.Failover = true
 	spec.DiskReads = 0 // the primary's readers would die with it anyway
 	spec.FaultSpec.Crashes = []fault.Crash{
 		{Machine: 1, At: machine.Time(40 * 1e6)},
 	}
-	res := RunNetRPC(kern.MK40, machine.ArchDS3100, spec)
+	res := RunFailover(kern.MK40, machine.ArchDS3100, spec)
 	if want := 2 * spec.RPCs; res.Completed != want {
 		t.Fatalf("Completed = %d, want %d", res.Completed, want)
 	}
@@ -89,8 +87,7 @@ func TestCrashWithoutRebootFailsOver(t *testing.T) {
 // like plain netrpc — everything completes on the primary, no switches.
 func TestFailoverWithoutCrashes(t *testing.T) {
 	spec := DefaultNetRPC()
-	spec.Failover = true
-	res := RunNetRPC(kern.MK40, machine.ArchDS3100, spec)
+	res := RunFailover(kern.MK40, machine.ArchDS3100, spec)
 	if want := 2 * spec.RPCs; res.Completed != want {
 		t.Fatalf("Completed = %d, want %d", res.Completed, want)
 	}
@@ -105,17 +102,17 @@ func TestFailoverWithoutCrashes(t *testing.T) {
 // byte-identical across sequential/parallel × GOMAXPROCS while a machine
 // crashes and warm-reboots mid-run.
 func TestParallelEquivalenceCrashFailover(t *testing.T) {
-	testParallelEquivalence(t, crashSpec())
+	testParallelEquivalence(t, RunFailover, crashSpec())
 }
 
 // TestRecoveryReportSection: the machsim report for a crash run carries
 // the recovery accounting and the HA machine labels.
 func TestRecoveryReportSection(t *testing.T) {
 	spec := crashSpec()
-	res := RunNetRPC(kern.MK40, machine.ArchDS3100, spec)
+	res := RunFailover(kern.MK40, machine.ArchDS3100, spec)
 	var buf bytes.Buffer
 	WriteNetRPCReport(&buf, kern.MK40, machine.ArchDS3100, res,
-		NetRPCReportOptions{Failover: true})
+		NetRPCReportOptions{})
 	out := buf.String()
 	for _, want := range []string{
 		"machine 1 (primary)",
@@ -137,10 +134,10 @@ func TestRecoveryReportSection(t *testing.T) {
 // hidden nondeterminism (map iteration, timer identity, etc).
 func TestSameSeedRunsIdentical(t *testing.T) {
 	render := func() string {
-		res := RunNetRPC(kern.MK40, machine.ArchDS3100, crashSpec())
+		res := RunFailover(kern.MK40, machine.ArchDS3100, crashSpec())
 		var buf bytes.Buffer
 		WriteNetRPCReport(&buf, kern.MK40, machine.ArchDS3100, res,
-			NetRPCReportOptions{Failover: true})
+			NetRPCReportOptions{})
 		return buf.String()
 	}
 	a, b := render(), render()

@@ -58,16 +58,9 @@ type FuzzKVResult struct {
 	MinSeed uint64
 }
 
-// fuzzVerdict is one run's outcome against the safety properties. Failed
-// operations are NOT a violation — abandoning an op during a long
-// partition is legal; claiming it succeeded with the wrong value is not.
-type fuzzVerdict struct {
-	res *KVResult
-	bad bool
-	why string
-}
-
-func fuzzRun(opt FuzzKVOptions, faultSeed uint64, rules []string) (fuzzVerdict, error) {
+// fuzzRun runs the campaign's kv build under one schedule; the
+// result's Violation is the verdict.
+func fuzzRun(opt FuzzKVOptions, faultSeed uint64, rules []string) (*KVResult, error) {
 	spec := DefaultKV()
 	spec.Parallel = opt.Parallel
 	spec.Break = opt.Break
@@ -86,21 +79,11 @@ func fuzzRun(opt FuzzKVOptions, faultSeed uint64, rules []string) (fuzzVerdict, 
 	if len(rules) > 0 {
 		fs, err := fault.ParseSpec(strings.Join(rules, ","))
 		if err != nil {
-			return fuzzVerdict{}, err
+			return nil, err
 		}
 		spec.FaultSpec = fs
 	}
-	res := RunKV(opt.Flavor, opt.Arch, spec)
-	v := fuzzVerdict{res: res}
-	switch {
-	case !res.Check.Linearizable:
-		v.bad, v.why = true, res.Check.String()
-	case len(res.SplitBrain) > 0:
-		v.bad, v.why = true, fmt.Sprintf("split brain: %s", splitBrainStr(res.SplitBrain))
-	case res.Mismatches > 0:
-		v.bad, v.why = true, fmt.Sprintf("%d acked-put/get mismatches", res.Mismatches)
-	}
-	return v, nil
+	return RunKV(opt.Flavor, opt.Arch, spec), nil
 }
 
 // fuzzSchedule renders schedule i of a campaign as -faults grammar rules.
@@ -161,8 +144,8 @@ func fuzzShrink(opt FuzzKVOptions, faultSeed uint64, rules []string) []string {
 		changed = false
 		for i := range shrunk {
 			cand := append(append([]string(nil), shrunk[:i]...), shrunk[i+1:]...)
-			v, err := fuzzRun(opt, faultSeed, cand)
-			if err == nil && v.bad {
+			res, err := fuzzRun(opt, faultSeed, cand)
+			if err == nil && res.Violation() != "" {
 				shrunk = cand
 				changed = true
 				break
@@ -189,24 +172,25 @@ func FuzzKV(opt FuzzKVOptions) (FuzzKVResult, error) {
 	var fz FuzzKVResult
 	for i := 0; i < opt.Count; i++ {
 		seed, rules := fuzzSchedule(opt.Seed, i)
-		v, err := fuzzRun(opt, seed, rules)
+		res, err := fuzzRun(opt, seed, rules)
 		if err != nil {
 			return fz, fmt.Errorf("schedule %d (%s): %w", i, strings.Join(rules, ","), err)
 		}
 		fz.Ran++
+		why := res.Violation()
 		verdict := "ok"
-		if v.bad {
-			verdict = "VIOLATION: " + v.why
+		if why != "" {
+			verdict = "VIOLATION: " + why
 		}
 		fmt.Fprintf(out, "fuzz %d/%d seed=%d faults=%s -> %d/%d ops ok, %s\n",
 			i+1, opt.Count, seed, strings.Join(rules, ","),
-			v.res.Completed, v.res.Completed+v.res.Failed, verdict)
+			res.Completed, res.Completed+res.Failed, verdict)
 		if opt.OutDir != "" {
-			if err := dumpHistory(opt.OutDir, i, seed, rules, v); err != nil {
+			if err := dumpHistory(opt.OutDir, i, seed, rules, res); err != nil {
 				return fz, err
 			}
 		}
-		if !v.bad {
+		if why == "" {
 			continue
 		}
 		fz.Violations++
@@ -220,16 +204,17 @@ func FuzzKV(opt FuzzKVOptions) (FuzzKVResult, error) {
 				fuzzFlagSuffix(opt))
 			continue
 		}
-		fmt.Fprintf(out, "  minimal repro (shrunk from %d rules): machsim -workload kv -faults %d:%s%s\n",
+		fmt.Fprintf(out, "  minimal repro (shrunk from %d rules): machsim -workload kv -faults '%d:%s'%s\n",
 			len(rules), seed, fz.MinSpec, fuzzFlagSuffix(opt))
 	}
 	return fz, nil
 }
 
-// fuzzFlagSuffix renders the campaign's build-variant flags so the
-// printed repro command really reproduces the run.
+// fuzzFlagSuffix renders the campaign's machine and build-variant flags
+// so the printed repro command really reproduces the run: schedules are
+// arch- and flavor-dependent.
 func fuzzFlagSuffix(opt FuzzKVOptions) string {
-	var s string
+	s := fmt.Sprintf(" -flavor %s -arch %s", nameOf(FlavorNames, opt.Flavor), nameOf(ArchNames, opt.Arch))
 	if opt.Break {
 		s += " -breakkv"
 	}
@@ -244,11 +229,11 @@ func fuzzFlagSuffix(opt FuzzKVOptions) string {
 
 // dumpHistory writes one schedule's recorded client history — the
 // checker's raw input — as a text artifact.
-func dumpHistory(dir string, i int, seed uint64, rules []string, v fuzzVerdict) error {
+func dumpHistory(dir string, i int, seed uint64, rules []string, res *KVResult) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "schedule %d seed=%d faults=%s\n", i, seed, strings.Join(rules, ","))
-	fmt.Fprintf(&b, "verdict: %s; split brain: %s\n", v.res.Check, splitBrainStr(v.res.SplitBrain))
-	for _, op := range v.res.History {
+	fmt.Fprintf(&b, "verdict: %s; split brain: %s\n", res.Check, splitBrainStr(res.SplitBrain))
+	for _, op := range res.History {
 		fmt.Fprintf(&b, "%s\n", op)
 	}
 	name := filepath.Join(dir, fmt.Sprintf("history-%03d.txt", i))

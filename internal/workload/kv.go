@@ -24,8 +24,10 @@ import (
 	"repro/internal/svc"
 )
 
-// KVSpec sizes the replicated KV workload.
+// KVSpec sizes the replicated KV workload. Crashes in the fault spec
+// name machines by KVRoles.
 type KVSpec struct {
+	ClusterOptions
 	// Ops is how many operations each caller thread issues; Clients the
 	// caller threads per client machine (two client machines total).
 	Ops     int
@@ -36,14 +38,8 @@ type KVSpec struct {
 	// Keyspan is each caller's private key range; PutPer10k the write mix.
 	Keyspan   uint64
 	PutPer10k int
-	// Wire is the one-way NIC latency (dev.DefaultWireLatency if 0).
-	Wire machine.Duration
 	// Seed drives the operation scripts (keys, values, read/write mix).
 	Seed uint64
-	// FaultSeed/FaultSpec are the per-machine fault plan; Crashes in the
-	// spec name machines 0..3 (client, primary, backup, client).
-	FaultSeed uint64
-	FaultSpec fault.Spec
 	// RPCTimeout overrides the callers' per-attempt receive timeout;
 	// RenewEvery the replicas' lease renewal period; IdleExit their
 	// no-traffic give-up horizon; DeadAfter the links' membership
@@ -56,14 +52,6 @@ type KVSpec struct {
 	RenewEvery machine.Duration
 	IdleExit   machine.Duration
 	DeadAfter  machine.Duration
-	// SampleEvery is the head-sampling rate for causal tracing: keep the
-	// 1-in-N hash class of operation trace ids. 0 or 1 samples every op.
-	SampleEvery int
-	// Parallel runs the cluster's horizon rounds with one goroutine per
-	// machine; results are byte-identical to the sequential rounds.
-	Parallel bool
-	// DebugChecks arms the kernel invariant sweep and the watchdog.
-	DebugChecks bool
 	// Break disables the replicas' rejoin-merge and deposed-stall safety
 	// machinery — the deliberately broken build the linearizability
 	// checker exists to catch. Never set outside tests and machsim's
@@ -137,7 +125,7 @@ func DefaultKV() KVSpec {
 
 // KVResult reports one replicated KV run.
 type KVResult struct {
-	Machines []*kern.System
+	Cluster
 	// Replicas are the two durable replica configurations (rank order);
 	// their Stats span every incarnation.
 	Replicas [svc.NumRanks]*svc.ReplicaConfig
@@ -150,23 +138,40 @@ type KVResult struct {
 	Failovers  uint64
 	Salvaged   uint64
 
-	Elapsed  machine.Duration
-	Steps    uint64
-	Recovery RecoveryStats
-
 	// History is every caller's recorded operation log, merged in caller
 	// creation order; Check is the linearizability verdict over it and
 	// SplitBrain any (group, epoch) pairs both ranks acked writes under.
 	History    []check.Op
 	Check      check.Result
 	SplitBrain []check.AckKey
-	// Topo is the scheduled topology-fault plan (nil when the spec has
-	// no partition/link/gray rules).
-	Topo *fault.Topology
 	// Policy echoes the armed overload policy (nil on legacy runs);
 	// ClientOv holds each client machine's shedding scoreboard.
 	Policy   *overload.Policy
 	ClientOv []*overload.Stats
+	// Break and BreakOverload echo the deliberately broken builds.
+	Break         bool
+	BreakOverload bool
+}
+
+// Violation names the first safety property the run broke — a
+// linearizability violation, split brain, or a read contradicting an
+// acknowledged write — or "" when the run is clean. Failed operations
+// are not a violation: abandoning an op during a long partition is
+// legal; claiming it succeeded with the wrong value is not.
+func (r *KVResult) Violation() string {
+	return violation(r.Check, r.SplitBrain, r.Mismatches)
+}
+
+func violation(c check.Result, split []check.AckKey, mismatches uint64) string {
+	switch {
+	case !c.Linearizable:
+		return c.String()
+	case len(split) > 0:
+		return "split brain: " + splitBrainStr(split)
+	case mismatches > 0:
+		return fmt.Sprintf("%d acked-put/get mismatches", mismatches)
+	}
+	return ""
 }
 
 // ClientOvTotals sums the client machines' shedding counters.
@@ -183,9 +188,12 @@ func (r *KVResult) ClientOvTotals() overload.Stats {
 }
 
 // ReplicaOvTotals sums the replica tier's shedding counters.
-func (r *KVResult) ReplicaOvTotals() overload.Stats {
+func (r *KVResult) ReplicaOvTotals() overload.Stats { return replicaOv(r.Replicas) }
+
+// replicaOv sums the replica tier's shedding counters.
+func replicaOv(replicas [svc.NumRanks]*svc.ReplicaConfig) overload.Stats {
 	var t overload.Stats
-	for _, cfg := range r.Replicas {
+	for _, cfg := range replicas {
 		if cfg == nil || cfg.Ov == nil {
 			continue
 		}
@@ -240,59 +248,16 @@ func kvOps(seed uint64, clientID int, ops int, keyspan uint64, putPer10k int) []
 	return out
 }
 
-// scheduleCrashPlan applies a fault plan's machine crashes to any
-// cluster (the workload-agnostic half of scheduleCrashes).
-func scheduleCrashPlan(machines []*kern.System, crashes []fault.Crash) {
-	for _, cr := range crashes {
-		if cr.Machine >= 0 && cr.Machine < len(machines) {
-			machines[cr.Machine].ScheduleCrash(cr.At, cr.RebootAfter)
-		}
-	}
-}
+// KVRoles are the KV cluster's machines: two clients around the rank-0
+// and rank-1 replicas.
+var KVRoles = []string{"client", "kv primary", "kv backup", "client"}
 
-// RunKV boots and drives the replicated KV cluster.
-func RunKV(flavor kern.Flavor, arch machine.Arch, spec KVSpec) *KVResult {
-	res, clis := bootKV(flavor, arch, spec)
-	cluster := kern.NewCluster(res.Machines...)
-	cluster.CrossCheck = spec.DebugChecks
-	start := res.Machines[0].K.Clock.Now()
-	res.Steps = cluster.Drive(spec.Parallel)
-	for _, c := range clis {
-		res.Completed += c.Stats.Done
-		res.Failed += c.Stats.Failed
-		res.Mismatches += c.Stats.Mismatches
-		res.Redirects += c.Stats.Redirects
-		res.Failovers += c.Stats.Failovers
-		res.Salvaged += c.Stats.Salvaged
-	}
-	res.Elapsed = machine.Duration(res.Machines[0].K.Clock.Now() - start)
-	res.Recovery.fill(res.Machines)
-	res.Recovery.Failovers = res.Failovers
-	res.Recovery.Salvaged = res.Salvaged
-	res.Recovery.Failed = uint64(res.Failed)
-	for _, c := range clis {
-		res.History = append(res.History, c.History...)
-	}
-	res.Check = check.Linearizable(res.History)
-	logs := make([]map[check.AckKey]uint64, 0, svc.NumRanks)
-	for _, cfg := range res.Replicas {
-		if cfg != nil {
-			logs = append(logs, cfg.AckLog)
-		}
-	}
-	res.SplitBrain = check.SplitBrain(logs)
-	stampCensus(res.Machines)
-	return res
-}
-
-// bootKV builds the four-machine KV cluster: machines 0 and 3 are
-// clients, 1 and 2 the rank-0 and rank-1 replicas. Clients reach rank 0
+// RunKV boots and drives the replicated KV cluster. Clients reach rank 0
 // on Links[0] and rank 1 on Links[1]; the replicas reach each other on
 // Links[2], their replication and rejoin channel. Every link runs the
 // reliable protocol — leases, elections and fencing all ride its
 // membership stamps.
-func bootKV(flavor kern.Flavor, arch machine.Arch, spec KVSpec) (*KVResult, []*svc.Caller) {
-	cfg := kern.Config{Flavor: flavor, Arch: arch}
+func RunKV(flavor kern.Flavor, arch machine.Arch, spec KVSpec) *KVResult {
 	clientsPer := spec.Clients
 	if clientsPer <= 0 {
 		clientsPer = 1
@@ -301,51 +266,26 @@ func bootKV(flavor kern.Flavor, arch machine.Arch, spec KVSpec) (*KVResult, []*s
 	if ops <= 0 {
 		ops = 60
 	}
-
-	res := &KVResult{}
-	sys := make([]*kern.System, 4)
-	for i := range sys {
-		sys[i] = kern.New(cfg)
-	}
-	client0, rank0, rank1, client1 := sys[0], sys[1], sys[2], sys[3]
-	client0.AddLink()
-	client1.AddLink()
-	rank0.AddLink()
-	rank0.AddLink()
-	rank1.AddLink()
-	rank1.AddLink()
-	dev.Connect(client0.Links[0].NIC, rank0.Links[0].NIC, spec.Wire)
-	dev.Connect(client0.Links[1].NIC, rank1.Links[0].NIC, spec.Wire)
-	dev.Connect(client1.Links[0].NIC, rank0.Links[1].NIC, spec.Wire)
-	dev.Connect(client1.Links[1].NIC, rank1.Links[1].NIC, spec.Wire)
-	dev.Connect(rank0.Links[2].NIC, rank1.Links[2].NIC, spec.Wire)
 	tmo := provisionTimeouts(arch, spec.RPCTimeout, spec.RenewEvery, spec.IdleExit, spec.DeadAfter)
-	res.Topo = fault.NewTopology(spec.FaultSpec)
-	for i, s := range sys {
-		s.InjectFaults(spec.FaultSeed+uint64(i), spec.FaultSpec)
-		s.InstallTopology(i, res.Topo)
-		for _, n := range s.Links {
-			n.EnableReliable()
-			n.DeadAfter = tmo.deadAfter
-		}
-		if spec.DebugChecks {
-			s.K.DebugChecks = true
-			s.EnableWatchdog()
-		}
-		// The service histograms (kv.op, kv.replicate) live on the
-		// recorder, so observation is always on for this workload; the
-		// host index salts span ids so they never collide across machines.
-		r := s.EnableObservation(0)
-		r.SetHost(i)
-		r.SetSpanSampling(spec.SampleEvery)
-	}
+	res := &KVResult{Break: spec.Break, BreakOverload: spec.BreakOverload}
+	// The service histograms (kv.op, kv.replicate) live on the recorder,
+	// so observation is always on for this workload.
+	res.Cluster = Boot(ClusterSpec{
+		ClusterOptions: spec.ClusterOptions,
+		Config:         kern.Config{Flavor: flavor, Arch: arch},
+		Roles:          KVRoles,
+		Links:          [][2]int{{0, 1}, {0, 2}, {3, 1}, {3, 2}, {1, 2}},
+		Reliable:       true, DeadAfter: tmo.deadAfter,
+		Observe: true,
+	})
+	sys := res.Machines
 
 	smap := svc.NewShardMap(spec.Shards, spec.Groups)
 
 	// Replicas: the durable config (leases, done bits, stats) is created
 	// once here; RegisterService re-runs the installer on every warm
 	// reboot, so a crashed replica comes back in recovery and rejoins.
-	for rank, s := range []*kern.System{rank0, rank1} {
+	for rank, s := range sys[1:3] {
 		rcfg := &svc.ReplicaConfig{
 			Rank: rank, PeerRank: svc.NumRanks - 1 - rank,
 			Map: smap, PeerLink: 2, Clients: 2 * clientsPer,
@@ -404,26 +344,37 @@ func bootKV(flavor kern.Flavor, arch machine.Arch, spec KVSpec) (*KVResult, []*s
 			}
 		})
 	}
-	mkClients(client0, 0, "kv-cli")
-	mkClients(client1, clientsPer, "kv-cli-b")
+	mkClients(sys[0], 0, "kv-cli")
+	mkClients(sys[3], clientsPer, "kv-cli-b")
 
-	res.Machines = sys
-	scheduleCrashPlan(sys, spec.FaultSpec.Crashes)
-	return res, clis
+	res.drive()
+	for _, c := range clis {
+		res.Completed += c.Stats.Done
+		res.Failed += c.Stats.Failed
+		res.Mismatches += c.Stats.Mismatches
+		res.Redirects += c.Stats.Redirects
+		res.Failovers += c.Stats.Failovers
+		res.Salvaged += c.Stats.Salvaged
+		res.History = append(res.History, c.History...)
+	}
+	res.Recovery.Failovers = res.Failovers
+	res.Recovery.Salvaged = res.Salvaged
+	res.Recovery.Failed = uint64(res.Failed)
+	res.Check = check.Linearizable(res.History)
+	res.SplitBrain = splitBrain(res.Replicas)
+	return res
 }
 
-// kvMachineName labels the KV topology's machines.
-func kvMachineName(i int) string {
-	switch i {
-	case 0:
-		return "machine 0 (client)"
-	case 1:
-		return "machine 1 (kv primary)"
-	case 2:
-		return "machine 2 (kv backup)"
-	default:
-		return fmt.Sprintf("machine %d (client)", i)
+// splitBrain runs the split-brain check over the replicas' durable ack
+// logs.
+func splitBrain(replicas [svc.NumRanks]*svc.ReplicaConfig) []check.AckKey {
+	logs := make([]map[check.AckKey]uint64, 0, svc.NumRanks)
+	for _, cfg := range replicas {
+		if cfg != nil {
+			logs = append(logs, cfg.AckLog)
+		}
 	}
+	return check.SplitBrain(logs)
 }
 
 // writeServiceLatency prints one merged-across-machines latency line per
@@ -480,15 +431,22 @@ func WriteKVReport(w io.Writer, flavor kern.Flavor, arch machine.Arch, res *KVRe
 		fmt.Fprintf(w, "  replicas: %d admitted, %d expired, %d rejected\n",
 			ro.Admitted, ro.Expired, ro.Rejected)
 	}
+	writeBrokenBuild(w, res.Break, res.BreakOverload)
 	fmt.Fprintf(w, "checker: %s; split brain: %s\n", res.Check, splitBrainStr(res.SplitBrain))
 	writeServiceLatency(w, res.Machines, res.Elapsed, []string{"kv.op", "kv.replicate"})
 	writeCritPathSection(w, res.Machines)
-	for i, sys := range res.Machines {
-		writeMachineSection(w, kvMachineName(i), sys, opt)
+	res.writeMachineSections(w, opt)
+	res.writeRecovery(w, false)
+}
+
+// writeBrokenBuild marks a report whose replicas run a deliberately
+// broken build, so a clean verdict is never mistaken for the real one.
+func writeBrokenBuild(w io.Writer, brk, brkOverload bool) {
+	if brk {
+		fmt.Fprintf(w, "build: broken replicas (-breakkv: no rejoin merge, no deposed stall)\n")
 	}
-	if res.Recovery.Crashes > 0 || opt.Failover || res.Topo != nil {
-		writeRecoveryBody(w, res.Recovery, res.Machines)
-		writeNemesisBody(w, res.Topo, res.Machines)
+	if brkOverload {
+		fmt.Fprintf(w, "build: broken shedding (-breakoverload: expired writes applied before the shed reply)\n")
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/dev"
 	"repro/internal/ipc"
 	"repro/internal/kern"
 	"repro/internal/machine"
@@ -27,6 +26,7 @@ import (
 
 // MTLoadSpec sizes the multi-tenant load run.
 type MTLoadSpec struct {
+	ClusterOptions
 	// Machines is the cluster size; must be even and >= 2. Machine 2p is
 	// pair p's client host, machine 2p+1 its echo-service host.
 	Machines int
@@ -47,14 +47,6 @@ type MTLoadSpec struct {
 	// pair's session count; this is also the instant the memory census
 	// reads the space claim at full scale.
 	Warmup machine.Duration
-	// Wire is the one-way NIC latency (dev.DefaultWireLatency if 0).
-	Wire machine.Duration
-	// Parallel drives the horizon rounds on the worker pool; results are
-	// byte-identical to the sequential rounds.
-	Parallel bool
-	// DebugChecks arms the kernel invariant sweep on every machine and
-	// the cluster driver's naive-sweep cross-check on every round.
-	DebugChecks bool
 }
 
 // DefaultSessionsPerMachine scales the blocked-thread population with
@@ -78,14 +70,12 @@ type TenantStats struct {
 
 // MTLoadResult reports one multi-tenant run.
 type MTLoadResult struct {
-	Spec     MTLoadSpec
-	Machines []*kern.System
-	Tenants  []TenantSpec
+	Cluster
+	Spec    MTLoadSpec
+	Tenants []TenantSpec
 	// Placement[pair][tenant] is the balancer's session assignment.
 	Placement [][]int
 	PerTenant []TenantStats
-	Steps     uint64
-	Elapsed   machine.Duration
 }
 
 // tenantWakeDone resumes a session after its open-loop think sleep.
@@ -207,22 +197,24 @@ func RunMTLoad(flavor kern.Flavor, arch machine.Arch, spec MTLoadSpec) *MTLoadRe
 	}
 	res := &MTLoadResult{Spec: spec, Tenants: tenants, Placement: placement}
 
-	cfg := kern.Config{Flavor: flavor, Arch: arch}
+	roles := make([]string, 0, spec.Machines)
+	links := make([][2]int, pairs)
+	for p := range links {
+		roles = append(roles, "client", "server")
+		links[p] = [2]int{2 * p, 2*p + 1}
+	}
+	// A small ring keeps 256-machine traces affordable; histograms and
+	// the census are maintained online regardless.
+	res.Cluster = Boot(ClusterSpec{
+		ClusterOptions: spec.ClusterOptions,
+		Config:         kern.Config{Flavor: flavor, Arch: arch},
+		Roles:          roles,
+		Links:          links,
+		Observe:        true, Ring: 512,
+	})
 	var sessions []*mtSession
 	for p := 0; p < pairs; p++ {
-		a := kern.New(cfg)
-		b := kern.New(cfg)
-		dev.Connect(a.Net.NIC, b.Net.NIC, spec.Wire)
-		if spec.DebugChecks {
-			a.K.DebugChecks = true
-			b.K.DebugChecks = true
-		}
-		// A small ring keeps 256-machine traces affordable; histograms
-		// and the census are maintained online regardless.
-		ra := a.EnableObservation(512)
-		ra.SetHost(2 * p)
-		rb := b.EnableObservation(512)
-		rb.SetHost(2*p + 1)
+		a, b := res.Machines[2*p], res.Machines[2*p+1]
 
 		onPair := 0
 		for ti := range tenants {
@@ -246,10 +238,7 @@ func RunMTLoad(flavor kern.Flavor, arch machine.Arch, spec MTLoadSpec) *MTLoadRe
 		ct := a.NewTask("tenants")
 		for ti := range tenants {
 			tn := &tenants[ti]
-			bytes := tn.MsgBytes
-			if bytes < ipc.HeaderBytes {
-				bytes = ipc.HeaderBytes
-			}
+			bytes := max(tn.MsgBytes, ipc.HeaderBytes)
 			for j := 0; j < placement[p][ti]; j++ {
 				s := &mtSession{
 					sys: a, tenant: tn, tenantIx: ti,
@@ -257,7 +246,7 @@ func RunMTLoad(flavor kern.Flavor, arch machine.Arch, spec MTLoadSpec) *MTLoadRe
 					reply: a.IPC.NewPort(fmt.Sprintf("rp-%d-%d", ti, j)),
 					rng: NewRNG(spec.Seed ^ uint64(p)<<40 ^
 						uint64(ti)<<20 ^ uint64(j)),
-					hist:     ra.Service("tenant " + tn.Name),
+					hist:     a.K.Obs.Service("tenant " + tn.Name),
 					bytes:    bytes,
 					ops:      spec.Ops,
 					intended: a.K.Clock.Now() + machine.Time(spec.Warmup),
@@ -266,16 +255,8 @@ func RunMTLoad(flavor kern.Flavor, arch machine.Arch, spec MTLoadSpec) *MTLoadRe
 				a.Start(ct.NewThread(fmt.Sprintf("%s-%d", tn.Name, j), s, 10))
 			}
 		}
-
-		res.Machines = append(res.Machines, a, b)
 	}
-
-	cluster := kern.NewCluster(res.Machines...)
-	cluster.CrossCheck = spec.DebugChecks
-	start := res.Machines[0].K.Clock.Now()
-	res.Steps = cluster.Drive(spec.Parallel)
-	res.Elapsed = machine.Duration(res.Machines[0].K.Clock.Now() - start)
-	stampCensus(res.Machines)
+	res.drive()
 
 	res.PerTenant = make([]TenantStats, len(tenants))
 	for ti := range tenants {
@@ -366,19 +347,9 @@ func WriteMTLoadReport(w io.Writer, res *MTLoadResult) {
 	fmt.Fprintf(w, "\nload balancer: sessions per pair min %d / max %d (spread %d)\n",
 		minS, maxS, maxS-minS)
 
-	var stacks, blocked, live uint64
-	maxStacks := 0
-	for _, sys := range res.Machines {
-		mc := sys.MemoryCensus()
-		stacks += uint64(mc.StackHighWater)
-		blocked += uint64(mc.BlockedHighWater)
-		live += uint64(mc.LiveThreads)
-		if mc.StackHighWater > maxStacks {
-			maxStacks = mc.StackHighWater
-		}
-	}
+	mc, maxStacks := res.census()
 	fmt.Fprintf(w, "memory census (cluster): %d stacks high-water vs %d blocked threads high-water (%d live threads); max per-machine stacks %d\n",
-		stacks, blocked, live, maxStacks)
+		mc.StackHighWater, mc.BlockedHighWater, mc.LiveThreads, maxStacks)
 }
 
 // MTLoadReport runs the workload and renders the report as a string —

@@ -133,7 +133,7 @@ func TestParallelEquivalenceManyMachines(t *testing.T) {
 	spec.Pairs = 32
 	spec.RPCs = 8
 	spec.DiskReads = 0
-	testParallelEquivalence(t, spec)
+	testParallelEquivalence(t, RunNetRPC, spec)
 }
 
 // TestLinkDelayFaultCrossCheck regresses the wire-cache contract under
@@ -151,7 +151,7 @@ func TestLinkDelayFaultCrossCheck(t *testing.T) {
 	spec.FaultSeed = 7
 	spec.FaultSpec = fs
 	spec.DebugChecks = true // arms Cluster.CrossCheck in RunNetRPC
-	testParallelEquivalence(t, spec)
+	testParallelEquivalence(t, RunNetRPC, spec)
 }
 
 // TestRegistryIncludesMTLoad keeps the workload discoverable by name:

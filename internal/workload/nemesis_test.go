@@ -2,12 +2,14 @@ package workload
 
 import (
 	"bytes"
+	"flag"
 	"strings"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/kern"
 	"repro/internal/machine"
+	"repro/internal/overload"
 )
 
 // nemesisSpec builds a KV spec running under the given -faults rules.
@@ -229,7 +231,7 @@ func TestFuzzKV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !v.bad {
+	if v.Violation() == "" {
 		t.Fatalf("minimal spec %q does not reproduce", res.MinSpec)
 	}
 	// ...and be locally minimal: it shrank below the generated schedule.
@@ -238,5 +240,94 @@ func TestFuzzKV(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "minimal repro") {
 		t.Fatalf("fuzz output missing the repro line:\n%s", out.String())
+	}
+}
+
+// shellFields splits a printed command line the way a POSIX shell
+// would for the quoting the fuzzer uses: words separated by spaces,
+// single quotes protecting a word's spaces and metacharacters.
+func shellFields(line string) []string {
+	var words []string
+	var cur strings.Builder
+	inWord, quoted := false, false
+	for _, r := range line {
+		switch {
+		case r == '\'':
+			quoted, inWord = !quoted, true
+		case r == ' ' && !quoted:
+			if inWord {
+				words = append(words, cur.String())
+				cur.Reset()
+			}
+			inWord = false
+		default:
+			cur.WriteRune(r)
+			inWord = true
+		}
+	}
+	if inWord {
+		words = append(words, cur.String())
+	}
+	return words
+}
+
+// TestFuzzReproCommandReproduces takes the broken-build campaign's
+// printed "minimal repro" command, parses its arguments as machsim
+// would receive them from a shell, and re-runs them through RunKV: the
+// violation must reproduce. The campaign runs on the DS3100, where its
+// fourth schedule catches the break; the default machine does not.
+func TestFuzzReproCommandReproduces(t *testing.T) {
+	var out bytes.Buffer
+	_, err := FuzzKV(FuzzKVOptions{Flavor: kern.MK40, Arch: machine.ArchDS3100,
+		Seed: 7, Count: 4, Break: true, Out: &out})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cmd, ok := strings.Cut(out.String(), "minimal repro")
+	if !ok {
+		t.Fatalf("no repro line:\n%s", out.String())
+	}
+	cmd, _, _ = strings.Cut(cmd, "\n")
+	_, cmd, _ = strings.Cut(cmd, "machsim ")
+	fs := flag.NewFlagSet("machsim", flag.ContinueOnError)
+	name := fs.String("workload", "", "")
+	faults := fs.String("faults", "", "")
+	flavor := fs.String("flavor", "mk40", "")
+	arch := fs.String("arch", "toshiba", "")
+	brk := fs.Bool("breakkv", false, "")
+	if err := fs.Parse(shellFields(cmd)); err != nil || fs.NArg() != 0 || *name != "kv" {
+		t.Fatalf("repro %q does not parse as a kv run: %v (extra args %q)", cmd, err, fs.Args())
+	}
+	spec := DefaultKV()
+	if spec.FaultSeed, spec.FaultSpec, err = fault.ParseFlag(*faults); err != nil {
+		t.Fatal(err)
+	}
+	spec.Break = *brk
+	res := RunKV(FlavorNames[*flavor], ArchNames[*arch], spec)
+	if res.Violation() == "" {
+		t.Fatalf("repro %q ran clean", cmd)
+	}
+}
+
+// TestKVNotLeaderBounceNotRefused regresses the phantom "definite no-op":
+// a leader deposed mid-replication bounces puts it has already applied
+// with NotLeader, so a put whose later attempt then expires must not be
+// recorded as refused — a later get legitimately reads its value. With
+// the overload controls on, this schedule used to fail the checker on
+// key 12884901889.
+func TestKVNotLeaderBounceNotRefused(t *testing.T) {
+	spec := DefaultKV()
+	spec.Overload = overload.DefaultPolicy()
+	var err error
+	spec.FaultSeed, spec.FaultSpec, err = fault.ParseFlag("10372713005361028282:link=1>2:drop@39ms+27ms,drop=0.05")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := RunKV(kern.MK40, machine.ArchDS3100, spec)
+	if v := res.Violation(); v != "" {
+		t.Fatalf("checker failed: %s", v)
+	}
+	if res.Redirects == 0 {
+		t.Fatal("no NotLeader redirect: the schedule no longer exercises the bounce")
 	}
 }

@@ -20,14 +20,14 @@ import (
 	"repro/internal/machine"
 )
 
-// NetRPCSpec sizes the cross-machine workload.
+// NetRPCSpec sizes the cross-machine workload and its HA variant
+// (RunFailover).
 type NetRPCSpec struct {
-	// RPCs is how many echo round trips the client completes.
+	ClusterOptions
+	// RPCs is how many echo round trips each client completes.
 	RPCs int
 	// MsgBytes is the request/reply payload size.
 	MsgBytes int
-	// Wire is the one-way NIC latency (dev.DefaultWireLatency if 0).
-	Wire machine.Duration
 	// DiskReads is how many device_read calls each machine's disk reader
 	// issues (0 disables the readers); DiskReadBytes the transfer size.
 	DiskReads     int
@@ -35,17 +35,9 @@ type NetRPCSpec struct {
 	// DiskLatency overrides the paging disk service time when nonzero.
 	DiskLatency machine.Duration
 
-	// FaultSpec, when nonzero, seeds a deterministic fault plan on each
-	// machine from FaultSeed (machine B uses FaultSeed+1 so the two draw
-	// independent streams). Wire faults switch the netmsg threads to the
-	// reliable seq/ack protocol.
-	FaultSeed uint64
-	FaultSpec fault.Spec
-
 	// Pairs is the number of client/server machine pairs in the cluster
-	// (default 1): the cluster simulates 2*Pairs machines. Pair i's
-	// machines draw fault seeds FaultSeed+2i and FaultSeed+2i+1, so pair 0
-	// matches the historical two-machine run exactly.
+	// (default 1): the cluster simulates 2*Pairs machines, pair i on
+	// machines 2i (client) and 2i+1 (server).
 	Pairs int
 
 	// Clients is the number of client threads per client machine (default
@@ -54,26 +46,9 @@ type NetRPCSpec struct {
 	// horizon round.
 	Clients int
 
-	// Failover boots the HA topology instead of client/server pairs: four
-	// machines — client, primary server, replica server, second client —
-	// where each client is wired to both servers, every link runs the
-	// reliable protocol, and the clients issue RPCs with a receive timeout
-	// so they can fail over to the replica when the primary goes silent
-	// (and fail back after its warm reboot). FaultSpec.Crashes machine
-	// indices name machines in that order.
-	Failover bool
-
 	// RPCTimeout is the per-attempt receive timeout of a failover client
 	// (DefaultRPCTimeout if zero).
 	RPCTimeout machine.Duration
-
-	// Parallel runs the cluster's horizon rounds with one goroutine per
-	// machine. Results are byte-identical to the sequential rounds.
-	Parallel bool
-
-	// DebugChecks arms the kernel invariant sweep after every dispatch
-	// on both machines.
-	DebugChecks bool
 
 	// Observe installs an obs.Recorder on each machine before any thread
 	// starts, so the whole run is traced and profiled. The recorders are
@@ -114,29 +89,20 @@ func LossyNetRPC() NetRPCSpec {
 
 // NetRPCResult reports one cross-machine run.
 type NetRPCResult struct {
-	// Client and Server are pair 0's machines, A and B.
+	Cluster
+	// Client and Server are machines 0 and 1: pair 0, or the HA
+	// topology's first client and its primary.
 	Client *kern.System
 	Server *kern.System
 
-	// Machines lists every booted machine, client/server interleaved
-	// (pair i occupies indices 2i and 2i+1).
-	Machines []*kern.System
-
 	// Completed is the echo round trips finished across all clients;
-	// DiskReadsDone the device_read calls completed on pair 0's machines
-	// (client, server order).
+	// DiskReadsDone the device_read calls completed on machines 0 and 1.
 	Completed     int
 	DiskReadsDone [2]int
 
-	// Elapsed is the client machine's simulated time for the whole run.
-	Elapsed machine.Duration
-
-	// Steps is the total cluster dispatcher steps taken.
-	Steps uint64
-
-	// Recovery is the crash/failover accounting, populated on every run
-	// (all zeros when no crashes were injected).
-	Recovery RecoveryStats
+	// ha marks the HA topology, whose report always carries the
+	// recovery section.
+	ha bool
 }
 
 // netEchoServer answers echo RPCs arriving through the netmsg thread. Its
@@ -243,73 +209,49 @@ func (r *diskReader) Next(e *core.Env, t *core.Thread) core.Action {
 // deterministic: with the same spec the run is byte-identical regardless
 // of spec.Parallel or GOMAXPROCS.
 func RunNetRPC(flavor kern.Flavor, arch machine.Arch, spec NetRPCSpec) *NetRPCResult {
-	if spec.Failover {
-		return runNetRPCFailover(flavor, arch, spec)
-	}
-	res, clis, pair0Readers := bootNetRPC(flavor, arch, spec)
-	cluster := kern.NewCluster(res.Machines...)
-	cluster.CrossCheck = spec.DebugChecks
-	start := res.Client.K.Clock.Now()
-	res.Steps = cluster.Drive(spec.Parallel)
+	res, clis, readers := bootNetRPC(flavor, arch, spec)
+	res.drive()
 	for _, cli := range clis {
 		res.Completed += cli.done
 	}
-	for i, rd := range pair0Readers {
-		res.DiskReadsDone[i] = rd.done
-	}
-	res.Elapsed = machine.Duration(res.Client.K.Clock.Now() - start)
-	res.Recovery.fill(res.Machines)
-	stampCensus(res.Machines)
+	res.countDiskReads(readers)
 	return res
 }
 
-// scheduleCrashes arms the spec's whole-machine crash events; indices
-// name positions in machines.
-func scheduleCrashes(machines []*kern.System, spec NetRPCSpec) {
-	for _, cr := range spec.FaultSpec.Crashes {
-		if cr.Machine >= 0 && cr.Machine < len(machines) {
-			machines[cr.Machine].ScheduleCrash(cr.At, cr.RebootAfter)
+// countDiskReads records the disk readers' completions on machines 0
+// and 1 (readers[i] runs on machine i).
+func (r *NetRPCResult) countDiskReads(readers []*diskReader) {
+	for i := range r.DiskReadsDone {
+		if i < len(readers) {
+			r.DiskReadsDone[i] = readers[i].done
 		}
 	}
 }
 
-// bootNetRPC builds the cluster's machines and threads without driving
+// bootNetRPC boots the pairs and starts their threads without driving
 // them: RunNetRPC's setup phase, shared with the driver-level tests.
 func bootNetRPC(flavor kern.Flavor, arch machine.Arch, spec NetRPCSpec) (*NetRPCResult, []*netClient, []*diskReader) {
-	cfg := kern.Config{Flavor: flavor, Arch: arch, DiskLatency: spec.DiskLatency}
-	pairs := spec.Pairs
-	if pairs <= 0 {
-		pairs = 1
+	pairs := max(spec.Pairs, 1)
+	clients := max(spec.Clients, 1)
+	msgBytes := max(spec.MsgBytes, ipc.HeaderBytes)
+	roles := make([]string, 0, 2*pairs)
+	links := make([][2]int, pairs)
+	for i := range links {
+		roles = append(roles, "client", "server")
+		links[i] = [2]int{2 * i, 2*i + 1}
 	}
-	clients := spec.Clients
-	if clients <= 0 {
-		clients = 1
-	}
-	msgBytes := spec.MsgBytes
-	if msgBytes < ipc.HeaderBytes {
-		msgBytes = ipc.HeaderBytes
-	}
-
 	res := &NetRPCResult{}
+	res.Cluster = Boot(ClusterSpec{
+		ClusterOptions: spec.ClusterOptions,
+		Config:         kern.Config{Flavor: flavor, Arch: arch, DiskLatency: spec.DiskLatency},
+		Roles:          roles,
+		Links:          links,
+		Observe:        spec.Observe,
+	})
+
 	var clis []*netClient
-	var readers []*diskReader
-	var pair0Readers []*diskReader
 	for i := 0; i < pairs; i++ {
-		a := kern.New(cfg)
-		b := kern.New(cfg)
-		dev.Connect(a.Net.NIC, b.Net.NIC, spec.Wire)
-		a.InjectFaults(spec.FaultSeed+uint64(2*i), spec.FaultSpec)
-		b.InjectFaults(spec.FaultSeed+uint64(2*i)+1, spec.FaultSpec)
-		if spec.DebugChecks {
-			a.K.DebugChecks = true
-			b.K.DebugChecks = true
-		}
-		if spec.Observe {
-			ra := a.EnableObservation(0)
-			ra.SetHost(2 * i)
-			rb := b.EnableObservation(0)
-			rb.SetHost(2*i + 1)
-		}
+		a, b := res.Machines[2*i], res.Machines[2*i+1]
 
 		// Echo server on machine B, reachable from the wire as "echo".
 		st := b.NewTask("echo-server")
@@ -340,25 +282,24 @@ func bootNetRPC(flavor kern.Flavor, arch machine.Arch, spec NetRPCSpec) (*NetRPC
 			clis = append(clis, cli)
 			a.Start(ct.NewThread(threadName, cli, 10))
 		}
-
-		// One disk reader per machine.
-		if spec.DiskReads > 0 {
-			for _, sys := range []*kern.System{a, b} {
-				task := sys.NewTask("disk-reader")
-				rd := &diskReader{sys: sys, disk: sys.Disk,
-					bytes: spec.DiskReadBytes, reads: spec.DiskReads}
-				readers = append(readers, rd)
-				if i == 0 {
-					pair0Readers = append(pair0Readers, rd)
-				}
-				sys.Start(task.NewThread("rd", rd, 12))
-			}
-		}
-
-		res.Machines = append(res.Machines, a, b)
 	}
-
 	res.Client, res.Server = res.Machines[0], res.Machines[1]
-	scheduleCrashes(res.Machines, spec)
-	return res, clis, pair0Readers
+	return res, clis, startDiskReaders(res.Machines, spec)
+}
+
+// startDiskReaders starts one disk reader per machine (none when
+// spec.DiskReads is 0), keeping the device layer busy so a crash lands
+// on real in-flight I/O.
+func startDiskReaders(machines []*kern.System, spec NetRPCSpec) []*diskReader {
+	if spec.DiskReads <= 0 {
+		return nil
+	}
+	readers := make([]*diskReader, len(machines))
+	for i, sys := range machines {
+		task := sys.NewTask("disk-reader")
+		readers[i] = &diskReader{sys: sys, disk: sys.Disk,
+			bytes: spec.DiskReadBytes, reads: spec.DiskReads}
+		sys.Start(task.NewThread("rd", readers[i], 12))
+	}
+	return readers
 }

@@ -15,13 +15,13 @@ import (
 // three observable artifacts the determinism contract covers: the
 // machsim-format report, the exported Chrome trace bytes, and the
 // per-machine fault statistics.
-func runNetRPCOnce(t *testing.T, spec NetRPCSpec, procs int) (report, trace, faults string) {
+func runNetRPCOnce(t *testing.T, run netRun, spec NetRPCSpec, procs int) (report, trace, faults string) {
 	t.Helper()
 	old := runtime.GOMAXPROCS(procs)
 	defer runtime.GOMAXPROCS(old)
 
 	spec.Observe = true
-	res := RunNetRPC(kern.MK40, machine.ArchDS3100, spec)
+	res := run(kern.MK40, machine.ArchDS3100, spec)
 
 	var rep bytes.Buffer
 	WriteNetRPCReport(&rep, kern.MK40, machine.ArchDS3100, res,
@@ -45,13 +45,16 @@ func runNetRPCOnce(t *testing.T, spec NetRPCSpec, procs int) (report, trace, fau
 	return rep.String(), tr.String(), fs.String()
 }
 
+// netRun is RunNetRPC or RunFailover.
+type netRun func(kern.Flavor, machine.Arch, NetRPCSpec) *NetRPCResult
+
 // testParallelEquivalence checks that -parallel and GOMAXPROCS have no
 // observable effect: report, trace export, and fault statistics are
 // byte-identical across sequential/parallel × GOMAXPROCS {1,4}.
-func testParallelEquivalence(t *testing.T, spec NetRPCSpec) {
+func testParallelEquivalence(t *testing.T, run netRun, spec NetRPCSpec) {
 	seq := spec
 	seq.Parallel = false
-	wantRep, wantTr, wantFS := runNetRPCOnce(t, seq, 1)
+	wantRep, wantTr, wantFS := runNetRPCOnce(t, run, seq, 1)
 	if wantRep == "" || wantTr == "" {
 		t.Fatal("baseline run produced empty artifacts")
 	}
@@ -62,7 +65,7 @@ func testParallelEquivalence(t *testing.T, spec NetRPCSpec) {
 			}
 			s := spec
 			s.Parallel = par
-			rep, tr, fs := runNetRPCOnce(t, s, procs)
+			rep, tr, fs := runNetRPCOnce(t, run, s, procs)
 			tag := fmt.Sprintf("parallel=%v GOMAXPROCS=%d", par, procs)
 			if rep != wantRep {
 				t.Errorf("%s: report differs from sequential baseline", tag)
@@ -81,20 +84,20 @@ func TestParallelEquivalenceNetRPC(t *testing.T) {
 	spec := DefaultNetRPC()
 	spec.Pairs = 2
 	spec.Clients = 2
-	testParallelEquivalence(t, spec)
+	testParallelEquivalence(t, RunNetRPC, spec)
 }
 
 func TestParallelEquivalenceLossyNetRPC(t *testing.T) {
 	spec := LossyNetRPC()
 	spec.Pairs = 2
 	spec.Clients = 2
-	testParallelEquivalence(t, spec)
+	testParallelEquivalence(t, RunNetRPC, spec)
 }
 
 // TestParallelEquivalenceSingleMachinePair covers the degenerate shapes:
 // one pair (two machines) and the legacy single-client layout.
 func TestParallelEquivalenceSingleMachinePair(t *testing.T) {
-	testParallelEquivalence(t, DefaultNetRPC())
+	testParallelEquivalence(t, RunNetRPC, DefaultNetRPC())
 }
 
 // TestNetRPCCompletesAllClients checks the generalized driver's

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
 
 	"repro/internal/fault"
 	"repro/internal/kern"
@@ -48,13 +49,11 @@ func Registry() []RegisteredWorkload {
 		}},
 		{Name: "failover", Report: func(parallel bool) string {
 			spec := DefaultNetRPC()
-			spec.Failover = true
 			spec.FaultSpec.Crashes = crash1
 			spec.Parallel = parallel
-			res := RunNetRPC(kern.MK40, machine.ArchDS3100, spec)
+			res := RunFailover(kern.MK40, machine.ArchDS3100, spec)
 			var buf bytes.Buffer
-			WriteNetRPCReport(&buf, kern.MK40, machine.ArchDS3100, res,
-				NetRPCReportOptions{Failover: true})
+			WriteNetRPCReport(&buf, kern.MK40, machine.ArchDS3100, res, NetRPCReportOptions{})
 			return buf.String()
 		}},
 		{Name: "kv", Report: func(parallel bool) string {
@@ -113,4 +112,21 @@ func Registry() []RegisteredWorkload {
 			return buf.String()
 		}},
 	}
+}
+
+// FlavorNames and ArchNames are the command-line spellings of the kernel
+// flavors and machines.
+var (
+	FlavorNames = map[string]kern.Flavor{"mk40": kern.MK40, "mk32": kern.MK32, "mach25": kern.Mach25}
+	ArchNames   = map[string]machine.Arch{"ds3100": machine.ArchDS3100, "toshiba": machine.ArchToshiba5200}
+)
+
+// nameOf returns the command-line spelling of v in names.
+func nameOf[V comparable](names map[string]V, v V) string {
+	for name, x := range names {
+		if x == v {
+			return name
+		}
+	}
+	return fmt.Sprint(v)
 }

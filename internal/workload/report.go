@@ -10,34 +10,30 @@ import (
 	"repro/internal/stats"
 )
 
-// NetRPCReportOptions controls the optional sections of the netrpc
-// report. Faults mirrors machsim's -faults flag being present; Check its
+// NetRPCReportOptions controls the optional sections of the cluster
+// reports. Faults mirrors machsim's -faults flag being present; Check its
 // -check flag (and additionally runs the final invariant sweep).
 type NetRPCReportOptions struct {
 	Faults bool
 	Check  bool
-	// Failover labels the machines for the HA topology (client, primary,
-	// replica, client) and prints the recovery section.
-	Failover bool
 }
 
 // WriteNetRPCReport prints the per-machine block tables plus the device
-// subsystem counters for a RunNetRPC result, in machsim's output format.
-// The output is a pure function of the run, so two runs of the same spec
-// can be compared byte-for-byte regardless of spec.Parallel or
-// GOMAXPROCS.
+// subsystem counters for a RunNetRPC or RunFailover result, in machsim's
+// output format. The output is a pure function of the run, so two runs
+// of the same spec can be compared byte-for-byte regardless of
+// spec.Parallel or GOMAXPROCS.
 func WriteNetRPCReport(w io.Writer, flavor kern.Flavor, arch machine.Arch, res *NetRPCResult, opt NetRPCReportOptions) {
 	fmt.Fprintf(w, "NetRPC on %v/%v — %d cross-machine RPCs completed in %.2f simulated ms (%d cluster steps)\n",
 		flavor, arch, res.Completed, float64(res.Elapsed)/1e6, res.Steps)
-
-	for i, sys := range res.Machines {
-		name := machineName(i, len(res.Machines))
-		if opt.Failover {
-			name = haMachineName(i)
+	if res.ha {
+		res.writeMachineSections(w, opt)
+	} else {
+		for i, sys := range res.Machines {
+			writeMachineSection(w, machineName(i, len(res.Machines)), sys, opt)
 		}
-		writeMachineSection(w, name, sys, opt)
 	}
-	writeRecoveryReport(w, res, opt)
+	res.writeRecovery(w, res.ha)
 }
 
 // writeMachineSection prints one machine's block table, device counters
@@ -81,17 +77,7 @@ func writeMachineSection(w io.Writer, name string, sys *kern.System, opt NetRPCR
 	mc := sys.MemoryCensus()
 	fmt.Fprintf(w, "  memory census: %d stacks high-water vs %d blocked threads high-water (%d live threads)\n",
 		mc.StackHighWater, mc.BlockedHighWater, mc.LiveThreads)
-	writeFaultReport(w, sys, opt)
-}
-
-// stampCensus snapshots every machine's memory census onto its recorder
-// after a run, so the Chrome export carries the space-claim metadata.
-func stampCensus(machines []*kern.System) {
-	for _, sys := range machines {
-		if r := sys.K.Obs; r != nil {
-			r.Census = sys.MemoryCensus()
-		}
-	}
+	WriteFaultReport(w, sys, opt)
 }
 
 // writeCritPathSection collects every machine's recorded spans, runs the
@@ -111,14 +97,23 @@ func writeCritPathSection(w io.Writer, machines []*kern.System) {
 	obs.WriteCritPath(w, obs.AnalyzeCritPath(spans))
 }
 
-// writeRecoveryReport prints the cluster-wide crash/failover accounting
-// when the run injected crashes or ran the HA topology.
-func writeRecoveryReport(w io.Writer, res *NetRPCResult, opt NetRPCReportOptions) {
-	r := res.Recovery
-	if !opt.Failover && r.Crashes == 0 {
+// writeMachineSections prints every machine's section under its role
+// label.
+func (c *Cluster) writeMachineSections(w io.Writer, opt NetRPCReportOptions) {
+	for i, sys := range c.Machines {
+		writeMachineSection(w, c.label(i), sys, opt)
+	}
+}
+
+// writeRecovery prints the recovery accounting and the nemesis timeline
+// when the run crashed a machine or scheduled topology faults, or
+// always when asked (the HA topology reports it on every run).
+func (c *Cluster) writeRecovery(w io.Writer, always bool) {
+	if c.Recovery.Crashes == 0 && c.Topo == nil && !always {
 		return
 	}
-	writeRecoveryBody(w, r, res.Machines)
+	writeRecoveryBody(w, c.Recovery, c.Machines)
+	writeNemesisBody(w, c.Topo, c.Machines)
 }
 
 // writeRecoveryBody prints the shared crash/failover block.
@@ -137,21 +132,7 @@ func writeRecoveryBody(w io.Writer, r RecoveryStats, machines []*kern.System) {
 	}
 }
 
-// haMachineName labels the failover topology's machines.
-func haMachineName(i int) string {
-	switch i {
-	case 0:
-		return "machine 0 (client)"
-	case 1:
-		return "machine 1 (primary)"
-	case 2:
-		return "machine 2 (replica)"
-	default:
-		return fmt.Sprintf("machine %d (client)", i)
-	}
-}
-
-// machineName labels machine index i of n in the report. Two-machine
+// machineName labels machine i of n in a netrpc pairs report. Two-machine
 // clusters keep the historical "machine A (client)" / "machine B
 // (server)" names so single-pair output is byte-identical to the old
 // driver's.
@@ -166,9 +147,9 @@ func machineName(i, n int) string {
 	return fmt.Sprintf("pair %d machine %s (%s)", i/2, letter, role)
 }
 
-// writeFaultReport prints the fault-injection and recovery counters when
+// WriteFaultReport prints the fault-injection and recovery counters when
 // a fault plan or the invariant checker is active.
-func writeFaultReport(w io.Writer, sys *kern.System, opt NetRPCReportOptions) {
+func WriteFaultReport(w io.Writer, sys *kern.System, opt NetRPCReportOptions) {
 	if !opt.Check && !opt.Faults {
 		return
 	}

@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/core"
-	"repro/internal/dev"
 	"repro/internal/fault"
 	"repro/internal/kern"
 	"repro/internal/machine"
@@ -34,8 +33,10 @@ import (
 	"repro/internal/svc"
 )
 
-// StormSpec sizes the overload storm scenario.
+// StormSpec sizes the overload storm scenario. Crashes in the fault spec
+// name machines by ChainRoles.
 type StormSpec struct {
+	ClusterOptions
 	// Sessions is the open-loop session count on the frontend machine.
 	Sessions int
 	// Think is the mean inter-arrival gap per session (jittered to
@@ -59,13 +60,9 @@ type StormSpec struct {
 	// deliberately tight, so a slow tier turns into retransmissions (the
 	// storm's fuel).
 	Timeout machine.Duration
-	// Wire is the one-way NIC latency (dev.DefaultWireLatency if 0).
-	Wire machine.Duration
-	// Seed drives the arrival jitter and op scripts; FaultSeed/FaultSpec
+	// Seed drives the arrival jitter and op scripts; the fault plan is
 	// the trigger schedule (burst/gray/link windows).
-	Seed      uint64
-	FaultSeed uint64
-	FaultSpec fault.Spec
+	Seed uint64
 	// Overload is the control policy; Enabled false is the storm's
 	// negative arm (-overload off).
 	Overload overload.Policy
@@ -74,10 +71,6 @@ type StormSpec struct {
 	// write the linearizability checker must flag. Never set outside
 	// tests and machsim's -breakoverload flag.
 	BreakOverload bool
-	// SampleEvery, Parallel, DebugChecks as in the other cluster specs.
-	SampleEvery int
-	Parallel    bool
-	DebugChecks bool
 }
 
 // DefaultStormTrigger is the canonical trigger schedule: for 20ms the
@@ -104,11 +97,13 @@ func DefaultStorm() StormSpec {
 		Workers:   3,
 		Capacity:  256,
 		Timeout:   machine.Duration(5 * 1e6),
-		Wire:      machine.Duration(100 * 1e3),
 		Seed:      1991,
-		FaultSeed: 7,
-		FaultSpec: fs,
 		Overload:  overload.DefaultPolicy(),
+		ClusterOptions: ClusterOptions{
+			FaultSeed: 7,
+			FaultSpec: fs,
+			Wire:      machine.Duration(100 * 1e3),
+		},
 	}
 }
 
@@ -258,8 +253,8 @@ type StormBucket struct {
 
 // StormResult reports one storm run.
 type StormResult struct {
+	Cluster
 	Spec     StormSpec
-	Machines []*kern.System
 	Cache    *svc.CacheConfig
 	Replicas [svc.NumRanks]*svc.ReplicaConfig
 	// FrontOv is the frontend sessions' shedding scoreboard.
@@ -268,9 +263,6 @@ type StormResult struct {
 	Completed  int
 	Failed     int
 	Mismatches uint64
-
-	Elapsed machine.Duration
-	Steps   uint64
 
 	// Curve covers [0, CurveEnd) in Spec.Bucket buckets; dispositions
 	// past CurveEnd aggregate into Tail.
@@ -297,22 +289,16 @@ type StormResult struct {
 	History    []check.Op
 	Check      check.Result
 	SplitBrain []check.AckKey
-	Topo       *fault.Topology
+}
+
+// Violation names the first safety property the run broke, or "" (see
+// KVResult.Violation).
+func (r *StormResult) Violation() string {
+	return violation(r.Check, r.SplitBrain, r.Mismatches)
 }
 
 // ReplicaOv sums the replica tier's shedding counters.
-func (r *StormResult) ReplicaOv() overload.Stats {
-	var t overload.Stats
-	for _, cfg := range r.Replicas {
-		if cfg == nil || cfg.Ov == nil {
-			continue
-		}
-		t.Admitted += cfg.Ov.Admitted
-		t.Expired += cfg.Ov.Expired
-		t.Rejected += cfg.Ov.Rejected
-	}
-	return t
-}
+func (r *StormResult) ReplicaOv() overload.Stats { return replicaOv(r.Replicas) }
 
 // RunStorm boots and drives the storm cluster: the svcgraph machine
 // chain (0 frontend, 1 cache, 2/3 KV replicas) under open-loop session
@@ -343,42 +329,14 @@ func RunStorm(flavor kern.Flavor, arch machine.Arch, spec StormSpec) *StormResul
 		spec.Timeout = machine.Duration(5 * 1e6)
 	}
 
-	cfg := kern.Config{Flavor: flavor, Arch: arch}
-	res := &StormResult{Spec: spec}
-	sys := make([]*kern.System, 4)
-	for i := range sys {
-		sys[i] = kern.New(cfg)
-	}
-	frontend, cache, rank0, rank1 := sys[0], sys[1], sys[2], sys[3]
-	cache.AddLink()
-	cache.AddLink()
-	rank0.AddLink()
-	rank1.AddLink()
-	dev.Connect(frontend.Links[0].NIC, cache.Links[0].NIC, spec.Wire)
-	dev.Connect(cache.Links[1].NIC, rank0.Links[0].NIC, spec.Wire)
-	dev.Connect(cache.Links[2].NIC, rank1.Links[0].NIC, spec.Wire)
-	dev.Connect(rank0.Links[1].NIC, rank1.Links[1].NIC, spec.Wire)
 	tmo := provisionTimeouts(arch, 0, 0, 0, 0)
-	res.Topo = fault.NewTopology(spec.FaultSpec)
-	for i, s := range sys {
-		s.InjectFaults(spec.FaultSeed+uint64(i), spec.FaultSpec)
-		s.InstallTopology(i, res.Topo)
-		for _, n := range s.Links {
-			n.EnableReliable()
-			n.DeadAfter = tmo.deadAfter
-		}
-		if spec.DebugChecks {
-			s.K.DebugChecks = true
-			s.EnableWatchdog()
-		}
-		r := s.EnableObservation(0)
-		r.SetHost(i)
-		r.SetSpanSampling(spec.SampleEvery)
-	}
+	res := &StormResult{Spec: spec}
+	res.Cluster = Boot(chainCluster(flavor, arch, spec.ClusterOptions, tmo.deadAfter))
+	frontend := res.Machines[0]
 
 	smap := svc.NewShardMap(0, 0)
 
-	for rank, s := range []*kern.System{rank0, rank1} {
+	for rank, s := range res.Machines[2:] {
 		rcfg := &svc.ReplicaConfig{
 			Rank: rank, PeerRank: svc.NumRanks - 1 - rank,
 			Map: smap, PeerLink: 1, Clients: spec.Workers,
@@ -399,7 +357,7 @@ func RunStorm(flavor kern.Flavor, arch machine.Arch, spec StormSpec) *StormResul
 		Overload: spec.Overload,
 	}
 	res.Cache = ccfg
-	cache.RegisterService("cache", func(s *kern.System) {
+	res.Machines[1].RegisterService("cache", func(s *kern.System) {
 		svc.InstallCache(s, ccfg)
 	})
 
@@ -445,16 +403,7 @@ func RunStorm(flavor kern.Flavor, arch machine.Arch, spec StormSpec) *StormResul
 		}
 	})
 
-	res.Machines = sys
-	scheduleCrashPlan(sys, spec.FaultSpec.Crashes)
-
-	cluster := kern.NewCluster(sys...)
-	cluster.CrossCheck = spec.DebugChecks
-	start := sys[0].K.Clock.Now()
-	res.Steps = cluster.Drive(spec.Parallel)
-	res.Elapsed = machine.Duration(sys[0].K.Clock.Now() - start)
-	stampCensus(sys)
-
+	res.drive()
 	var recs []stormRec
 	for _, s := range sessions {
 		res.Completed += s.cli.Stats.Done
@@ -463,14 +412,9 @@ func RunStorm(flavor kern.Flavor, arch machine.Arch, spec StormSpec) *StormResul
 		res.History = append(res.History, s.cli.History...)
 		recs = append(recs, s.recs...)
 	}
+	res.Recovery.Failed = uint64(res.Failed)
 	res.Check = check.Linearizable(res.History)
-	logs := make([]map[check.AckKey]uint64, 0, svc.NumRanks)
-	for _, rcfg := range res.Replicas {
-		if rcfg != nil {
-			logs = append(logs, rcfg.AckLog)
-		}
-	}
-	res.SplitBrain = check.SplitBrain(logs)
+	res.SplitBrain = splitBrain(res.Replicas)
 	analyzeStorm(res, recs)
 	return res
 }
@@ -608,6 +552,7 @@ func WriteStormReport(w io.Writer, flavor kern.Flavor, arch machine.Arch, res *S
 	fmt.Fprintf(w, "%v/%v — frontend -> cache -> kv, %d open-loop sessions, think %s, arrivals until %s\n",
 		flavor, arch, spec.Sessions, obs.FmtNS(uint64(spec.Think)), obs.FmtNS(uint64(spec.Horizon)))
 	fmt.Fprintf(w, "policy: %s\n", spec.Overload)
+	writeBrokenBuild(w, false, spec.BreakOverload)
 	fmt.Fprintf(w, "trigger window: [%s, %s)\n",
 		obs.FmtNS(uint64(res.TriggerAt)), obs.FmtNS(uint64(res.TriggerEnd)))
 	fmt.Fprintf(w, "elapsed %.2f simulated ms (%d cluster steps); %d ops completed, %d failed, %d mismatches\n",
@@ -660,17 +605,14 @@ func WriteStormReport(w io.Writer, flavor kern.Flavor, arch machine.Arch, res *S
 	writeServiceLatency(w, res.Machines, res.Elapsed,
 		[]string{"frontend", "frontend.fail", "cache.fetch", "kv.replicate"})
 	fmt.Fprintf(w, "\nchecker: %s; split brain: %s\n", res.Check, splitBrainStr(res.SplitBrain))
+	if res.Recovery.Crashes > 0 {
+		writeRecoveryBody(w, res.Recovery, res.Machines)
+	}
 	writeNemesisBody(w, res.Topo, res.Machines)
 
-	var stacks, blocked, live uint64
-	for _, sys := range res.Machines {
-		mc := sys.MemoryCensus()
-		stacks += uint64(mc.StackHighWater)
-		blocked += uint64(mc.BlockedHighWater)
-		live += uint64(mc.LiveThreads)
-	}
+	mc, _ := res.census()
 	fmt.Fprintf(w, "\nmemory census (cluster): %d stacks high-water vs %d blocked threads high-water (%d live threads)\n",
-		stacks, blocked, live)
+		mc.StackHighWater, mc.BlockedHighWater, mc.LiveThreads)
 }
 
 // StormReport runs the storm and renders the report as a string — the

@@ -12,15 +12,15 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/dev"
-	"repro/internal/fault"
 	"repro/internal/kern"
 	"repro/internal/machine"
 	"repro/internal/svc"
 )
 
-// SvcGraphSpec sizes the service-graph workload.
+// SvcGraphSpec sizes the service-graph workload. Crashes in the fault
+// spec name machines by ChainRoles.
 type SvcGraphSpec struct {
+	ClusterOptions
 	// Ops is how many operations each frontend thread issues; Frontends
 	// the frontend thread count.
 	Ops       int
@@ -36,14 +36,8 @@ type SvcGraphSpec struct {
 	Groups    int
 	Keyspan   uint64
 	PutPer10k int
-	// Wire is the one-way NIC latency (dev.DefaultWireLatency if 0).
-	Wire machine.Duration
-	// Seed drives the frontend scripts; FaultSeed/FaultSpec the fault
-	// plan (crash machine indices: 0 frontend, 1 cache, 2 kv primary,
-	// 3 kv backup).
-	Seed      uint64
-	FaultSeed uint64
-	FaultSpec fault.Spec
+	// Seed drives the frontend scripts.
+	Seed uint64
 	// RPCTimeout bounds each tier's per-attempt receive; RenewEvery,
 	// IdleExit and DeadAfter tune the replicas and links as in KVSpec
 	// (arch-scaled defaults when zero).
@@ -51,12 +45,6 @@ type SvcGraphSpec struct {
 	RenewEvery machine.Duration
 	IdleExit   machine.Duration
 	DeadAfter  machine.Duration
-	// SampleEvery is the causal-tracing head-sampling rate as in KVSpec:
-	// keep the 1-in-N hash class of trace ids; 0 or 1 samples every op.
-	SampleEvery int
-	// Parallel / DebugChecks as in the other workload specs.
-	Parallel    bool
-	DebugChecks bool
 }
 
 // DefaultSvcGraph returns the standard three-tier run: three frontend
@@ -76,7 +64,7 @@ func DefaultSvcGraph() SvcGraphSpec {
 
 // SvcGraphResult reports one service-graph run.
 type SvcGraphResult struct {
-	Machines []*kern.System
+	Cluster
 	Cache    *svc.CacheConfig
 	Replicas [svc.NumRanks]*svc.ReplicaConfig
 
@@ -84,10 +72,6 @@ type SvcGraphResult struct {
 	Failed     int
 	Mismatches uint64
 	Salvaged   uint64
-
-	Elapsed  machine.Duration
-	Steps    uint64
-	Recovery RecoveryStats
 }
 
 // ReplicaTotals sums the backend replicas' service counters.
@@ -96,38 +80,29 @@ func (r *SvcGraphResult) ReplicaTotals() svc.ReplicaStats {
 	return kv.ReplicaTotals()
 }
 
-// RunSvcGraph boots and drives the three-tier cluster.
-func RunSvcGraph(flavor kern.Flavor, arch machine.Arch, spec SvcGraphSpec) *SvcGraphResult {
-	res, fronts := bootSvcGraph(flavor, arch, spec)
-	cluster := kern.NewCluster(res.Machines...)
-	cluster.CrossCheck = spec.DebugChecks
-	start := res.Machines[0].K.Clock.Now()
-	res.Steps = cluster.Drive(spec.Parallel)
-	for _, f := range fronts {
-		res.Completed += f.Stats.Done
-		res.Failed += f.Stats.Failed
-		res.Mismatches += f.Stats.Mismatches
-		res.Salvaged += f.Stats.Salvaged
+// ChainRoles are the frontend -> cache -> replicated-KV chain's machines,
+// shared by the service graph and the storm.
+var ChainRoles = []string{"frontend", "cache", "kv primary", "kv backup"}
+
+// chainCluster declares the chain: the frontend reaches the cache on its
+// only link; the cache reaches rank 0 on Links[1] and rank 1 on
+// Links[2]; the replicas reach each other on their Links[1].
+func chainCluster(flavor kern.Flavor, arch machine.Arch, opts ClusterOptions, deadAfter machine.Duration) ClusterSpec {
+	return ClusterSpec{
+		ClusterOptions: opts,
+		Config:         kern.Config{Flavor: flavor, Arch: arch},
+		Roles:          ChainRoles,
+		Links:          [][2]int{{0, 1}, {1, 2}, {1, 3}, {2, 3}},
+		Reliable:       true, DeadAfter: deadAfter,
+		Observe: true,
 	}
-	res.Elapsed = machine.Duration(res.Machines[0].K.Clock.Now() - start)
-	res.Recovery.fill(res.Machines)
-	res.Recovery.Salvaged = res.Salvaged
-	res.Recovery.Failed = uint64(res.Failed)
-	stampCensus(res.Machines)
-	return res
 }
 
-// bootSvcGraph builds the chain: machine 0 runs the frontend threads,
-// machine 1 the cache tier, machines 2 and 3 the KV replicas. The
-// frontend reaches the cache on its only link; the cache reaches rank 0
-// on Links[1] and rank 1 on Links[2]; the replicas reach each other on
-// their Links[1].
-func bootSvcGraph(flavor kern.Flavor, arch machine.Arch, spec SvcGraphSpec) (*SvcGraphResult, []*svc.Caller) {
-	cfg := kern.Config{Flavor: flavor, Arch: arch}
-	frontends := spec.Frontends
-	if frontends <= 0 {
-		frontends = 1
-	}
+// RunSvcGraph boots and drives the three-tier cluster: machine 0 runs
+// the frontend threads, machine 1 the cache tier, machines 2 and 3 the
+// KV replicas.
+func RunSvcGraph(flavor kern.Flavor, arch machine.Arch, spec SvcGraphSpec) *SvcGraphResult {
+	frontends := max(spec.Frontends, 1)
 	workers := spec.Workers
 	if workers <= 0 {
 		workers = 2
@@ -136,42 +111,16 @@ func bootSvcGraph(flavor kern.Flavor, arch machine.Arch, spec SvcGraphSpec) (*Sv
 	if ops <= 0 {
 		ops = 80
 	}
-
-	res := &SvcGraphResult{}
-	sys := make([]*kern.System, 4)
-	for i := range sys {
-		sys[i] = kern.New(cfg)
-	}
-	frontend, cache, rank0, rank1 := sys[0], sys[1], sys[2], sys[3]
-	cache.AddLink()
-	cache.AddLink()
-	rank0.AddLink()
-	rank1.AddLink()
-	dev.Connect(frontend.Links[0].NIC, cache.Links[0].NIC, spec.Wire)
-	dev.Connect(cache.Links[1].NIC, rank0.Links[0].NIC, spec.Wire)
-	dev.Connect(cache.Links[2].NIC, rank1.Links[0].NIC, spec.Wire)
-	dev.Connect(rank0.Links[1].NIC, rank1.Links[1].NIC, spec.Wire)
 	tmo := provisionTimeouts(arch, spec.RPCTimeout, spec.RenewEvery, spec.IdleExit, spec.DeadAfter)
-	for i, s := range sys {
-		s.InjectFaults(spec.FaultSeed+uint64(i), spec.FaultSpec)
-		for _, n := range s.Links {
-			n.EnableReliable()
-			n.DeadAfter = tmo.deadAfter
-		}
-		if spec.DebugChecks {
-			s.K.DebugChecks = true
-			s.EnableWatchdog()
-		}
-		r := s.EnableObservation(0)
-		r.SetHost(i)
-		r.SetSpanSampling(spec.SampleEvery)
-	}
+	res := &SvcGraphResult{}
+	res.Cluster = Boot(chainCluster(flavor, arch, spec.ClusterOptions, tmo.deadAfter))
+	frontend, cache := res.Machines[0], res.Machines[1]
 
 	smap := svc.NewShardMap(spec.Shards, spec.Groups)
 
 	// KV replicas, as in the KV workload but with the cache's workers as
 	// their only clients and the peer on Links[1].
-	for rank, s := range []*kern.System{rank0, rank1} {
+	for rank, s := range res.Machines[2:] {
 		rcfg := &svc.ReplicaConfig{
 			Rank: rank, PeerRank: svc.NumRanks - 1 - rank,
 			Map: smap, PeerLink: 1, Clients: workers,
@@ -199,10 +148,9 @@ func bootSvcGraph(flavor kern.Flavor, arch machine.Arch, spec SvcGraphSpec) (*Sv
 	// Frontend threads: plain callers aimed at the cache port. Both rank
 	// slots route over the frontend's single link — the cache is the only
 	// service they know.
-	var fronts []*svc.Caller
-	mine := make([]*svc.Caller, frontends)
-	for j := 0; j < frontends; j++ {
-		f := &svc.Caller{
+	fronts := make([]*svc.Caller, frontends)
+	for j := range fronts {
+		fronts[j] = &svc.Caller{
 			Sys: frontend, Name: fmt.Sprintf("fe%d", j), ID: j,
 			Map: smap, Links: [svc.NumRanks]int{0, 0},
 			Port: svc.CachePortName, Timeout: tmo.rpcTimeout,
@@ -210,34 +158,25 @@ func bootSvcGraph(flavor kern.Flavor, arch machine.Arch, spec SvcGraphSpec) (*Sv
 			Ops:      kvOps(spec.Seed, j, ops, spec.Keyspan, spec.PutPer10k),
 			Track:    true,
 		}
-		mine[j] = f
-		fronts = append(fronts, f)
 	}
 	frontend.RegisterService("frontends", func(s *kern.System) {
 		ct := s.NewTask("frontend")
-		for _, f := range mine {
+		for _, f := range fronts {
 			f.Reset(s)
 			s.Start(ct.NewThread(f.Name, f, 10))
 		}
 	})
 
-	res.Machines = sys
-	scheduleCrashPlan(sys, spec.FaultSpec.Crashes)
-	return res, fronts
-}
-
-// svcGraphMachineName labels the service-graph topology's machines.
-func svcGraphMachineName(i int) string {
-	switch i {
-	case 0:
-		return "machine 0 (frontend)"
-	case 1:
-		return "machine 1 (cache)"
-	case 2:
-		return "machine 2 (kv primary)"
-	default:
-		return "machine 3 (kv backup)"
+	res.drive()
+	for _, f := range fronts {
+		res.Completed += f.Stats.Done
+		res.Failed += f.Stats.Failed
+		res.Mismatches += f.Stats.Mismatches
+		res.Salvaged += f.Stats.Salvaged
 	}
+	res.Recovery.Salvaged = res.Salvaged
+	res.Recovery.Failed = uint64(res.Failed)
+	return res
 }
 
 // WriteSvcGraphReport prints the three-tier run in machsim's output
@@ -258,10 +197,6 @@ func WriteSvcGraphReport(w io.Writer, flavor kern.Flavor, arch machine.Arch, res
 	writeServiceLatency(w, res.Machines, res.Elapsed,
 		[]string{"frontend", "cache.fetch", "kv.replicate"})
 	writeCritPathSection(w, res.Machines)
-	for i, sys := range res.Machines {
-		writeMachineSection(w, svcGraphMachineName(i), sys, opt)
-	}
-	if res.Recovery.Crashes > 0 || opt.Failover {
-		writeRecoveryBody(w, res.Recovery, res.Machines)
-	}
+	res.writeMachineSections(w, opt)
+	res.writeRecovery(w, false)
 }
