@@ -71,8 +71,9 @@
 // the phantom write the checker must flag. -breakoverload exits 2 unless
 // the controls are on.
 //
-// Cluster flags: -parallel drives the machines on one goroutine each
-// (output stays byte-identical to the sequential driver); -crash
+// Cluster flags: -parallel runs each horizon round's active machines on
+// a pool of min(GOMAXPROCS, machines) worker goroutines (output stays
+// byte-identical to the sequential driver); -crash
 // injects whole-machine crashes (below); -faults adds wire/device
 // faults.
 //

@@ -2,11 +2,10 @@ package kern_test
 
 // Tests for the O(active)-cost cluster driver: the indexed activity heap
 // against the naive full-sweep horizon, the cached wire lookahead
-// against link changes, and Step's incrementally maintained order
-// against a from-scratch stable sort.
+// against link changes, and the CrossCheck oracle's ability to fail.
 
 import (
-	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/dev"
@@ -145,49 +144,26 @@ func TestCrashRebootRefreshesWireCache(t *testing.T) {
 	}
 }
 
-// TestStepOrderIncremental cross-checks Step's incrementally sorted
-// machine order against a from-scratch stable sort by (clock, index)
-// after every single step.
-func TestStepOrderIncremental(t *testing.T) {
-	cluster, systems := bootCluster(t, 4, machine.Duration(500_000))
-	// Cross-machine traffic plus local timers keep the clocks drifting
-	// past each other so the order actually churns.
-	for _, s := range systems {
-		s := s
-		var tick func()
-		n := 0
-		tick = func() {
-			if n++; n < 50 {
-				s.K.Clock.After(machine.Duration(100_000+10_000*n), "tick", tick)
-			}
+// TestCrossCheckCatchesStaleWire is CrossCheck's negative test: a link
+// re-timed mid-drive through dev.Connect, bypassing SetLink, leaves the
+// cached wire lookahead stale, and the next horizon must trip the
+// cross-check panic rather than run a round past the safe horizon.
+func TestCrossCheckCatchesStaleWire(t *testing.T) {
+	cluster, systems := bootCluster(t, 2, machine.Duration(4_000_000))
+	a, b := systems[0], systems[1]
+	a.K.Clock.Schedule(machine.Time(50_000), "rewire", func() {
+		dev.Connect(a.Net.NIC, b.Net.NIC, machine.Duration(100_000))
+		// The tick lies past the stale 4ms horizon, so the next round's
+		// cached and swept horizons differ.
+		a.K.Clock.After(machine.Duration(10_000_000), "tick", func() {})
+	})
+	cluster.CrossCheck = true
+	defer func() {
+		r := recover()
+		msg, _ := r.(string)
+		if !strings.Contains(msg, "horizon cross-check failed") {
+			t.Fatalf("Drive with a stale wire cache: recovered %v, want a horizon cross-check panic", r)
 		}
-		s.K.Clock.After(machine.Duration(100_000), "tick", tick)
-	}
-
-	naive := func() []int {
-		idx := make([]int, len(systems))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(x, y int) bool {
-			return systems[idx[x]].K.Clock.Now() < systems[idx[y]].K.Clock.Now()
-		})
-		return idx
-	}
-	steps := 0
-	for cluster.Step(false) {
-		steps++
-		got, want := cluster.OrderForTest(), naive()
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("after step %d: incremental order %v != stable sort %v", steps, got, want)
-			}
-		}
-		if steps > 20_000 {
-			t.Fatalf("cluster did not quiesce")
-		}
-	}
-	if steps == 0 {
-		t.Fatalf("cluster took no steps")
-	}
+	}()
+	cluster.Drive(false)
 }

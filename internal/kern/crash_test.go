@@ -71,8 +71,7 @@ func TestCrashAndWarmReboot(t *testing.T) {
 	startSpray(a, "svc", 40)
 
 	b.ScheduleCrash(machine.Time(5*1e6), machine.Duration(10*1e6))
-	for cluster.Step(false) {
-	}
+	cluster.Drive(false)
 
 	if b.CrashCount != 1 || b.Reboots != 1 {
 		t.Fatalf("CrashCount=%d Reboots=%d, want 1/1", b.CrashCount, b.Reboots)
@@ -138,8 +137,7 @@ func TestStaleIncarnationPacketDropped(t *testing.T) {
 	startSpray(a, "svc", 1)
 
 	b.ScheduleCrash(machine.Time(50*1e6), machine.Duration(50*1e6))
-	for cluster.Step(false) {
-	}
+	cluster.Drive(false)
 
 	if b.Incarnation != 2 {
 		t.Fatalf("Incarnation = %d, want 2", b.Incarnation)
@@ -163,8 +161,7 @@ func TestCrashDropsUnackedTowardDeadIncarnation(t *testing.T) {
 	startSink(b, "svc", &got)
 	startSpray(a, "svc", 1)
 	b.ScheduleCrash(machine.Time(50*1e6), machine.Duration(50*1e6))
-	for cluster.Step(false) {
-	}
+	cluster.Drive(false)
 	if a.Net.UnackedLen() != 0 {
 		t.Fatalf("%d packets still unacked at quiescence", a.Net.UnackedLen())
 	}

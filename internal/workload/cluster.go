@@ -19,8 +19,9 @@ type ClusterOptions struct {
 	// by their index in the cluster's roles.
 	FaultSeed uint64
 	FaultSpec fault.Spec
-	// Parallel runs the horizon rounds with one goroutine per machine;
-	// results are byte-identical to the sequential rounds.
+	// Parallel runs each horizon round's active machines on a pool of
+	// min(GOMAXPROCS, machines) worker goroutines; results are
+	// byte-identical to the sequential rounds.
 	Parallel bool
 	// DebugChecks arms the kernel invariant sweep and the watchdog on
 	// every machine, and the cluster driver's naive-sweep cross-check.
